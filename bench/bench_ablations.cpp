@@ -24,15 +24,15 @@ struct Outcome {
   double overshoot_bins_pct = 0.0;
 };
 
-Outcome Evaluate(const core::RunResult& result) {
+Outcome Evaluate(const api::Pipeline& result) {
   Outcome o;
   o.avg_accuracy = result.AverageAccuracy();
-  o.drops_pct = 100.0 * static_cast<double>(result.system->total_dropped()) /
-                std::max<double>(1.0, static_cast<double>(result.system->total_packets()));
+  o.drops_pct = 100.0 * static_cast<double>(result.total_dropped()) /
+                std::max<double>(1.0, static_cast<double>(result.total_packets()));
   util::RunningStats util_stats;
   size_t overshoot = 0;
-  const double cap = result.system->capacity();
-  for (const auto& bin : result.system->log()) {
+  const double cap = result.system().capacity();
+  for (const auto& bin : result.log()) {
     const double spent = bin.query_cycles + bin.ps_cycles + bin.ls_cycles + bin.como_cycles;
     util_stats.Add(spent / cap);
     if (spent > cap * 1.01) {
@@ -41,23 +41,20 @@ Outcome Evaluate(const core::RunResult& result) {
   }
   o.mean_utilization = util_stats.mean();
   o.overshoot_bins_pct =
-      100.0 * static_cast<double>(overshoot) / std::max<size_t>(1, result.system->log().size());
+      100.0 * static_cast<double>(overshoot) / std::max<size_t>(1, result.log().size());
   return o;
 }
 
-core::RunResult RunVariant(const trace::Trace& trace, const std::vector<std::string>& names,
-                           double k, const bench::BenchArgs& args,
-                           const std::function<void(core::SystemConfig&)>& tweak) {
+Outcome RunVariant(const trace::Trace& trace, const std::vector<std::string>& names, double k,
+                   const bench::BenchArgs& args,
+                   const std::function<void(core::SystemConfig&)>& tweak) {
   const double demand = core::MeasureMeanDemand(names, trace, args.oracle);
-  core::RunSpec spec;
-  spec.system.shedder = core::ShedderKind::kPredictive;
-  spec.system.strategy = shed::StrategyKind::kMmfsPkt;
-  spec.system.cycles_per_bin = std::max(1.0, demand * (1.0 - k));
-  spec.oracle = args.oracle;
-  spec.query_names = names;
-  spec.use_default_min_rates = false;
-  tweak(spec.system);
-  return RunSystemOnTrace(spec, trace);
+  api::PipelineBuilder builder = bench::BuilderAtOverload(
+      demand, names, k, core::ShedderKind::kPredictive, shed::StrategyKind::kMmfsPkt, args,
+      /*custom_shedding=*/false, /*default_min_rates=*/false);
+  core::SystemConfig config = builder.config();
+  tweak(config);
+  return Evaluate(*api::RunTrace(builder.Config(config), trace));
 }
 
 void Report(util::Table& table, const std::string& label, const Outcome& o) {
@@ -89,17 +86,17 @@ int main(int argc, char** argv) {
                      "bins over budget"});
 
   Report(table, "full system (baseline)",
-         Evaluate(RunVariant(trace, names, 0.5, args, [](core::SystemConfig&) {})));
+         RunVariant(trace, names, 0.5, args, [](core::SystemConfig&) {}));
 
   // A1: no prediction-error safety margin — demands are never inflated.
   Report(table, "A1: no error safety margin",
-         Evaluate(RunVariant(trace, names, 0.5, args,
-                             [](core::SystemConfig& cfg) { cfg.error_margin_enabled = false; })));
+         RunVariant(trace, names, 0.5, args,
+                    [](core::SystemConfig& cfg) { cfg.error_margin_enabled = false; }));
 
   // A2: no buffer discovery — the system never borrows buffer slack.
   Report(table, "A2: no rtthresh slack",
-         Evaluate(RunVariant(trace, names, 0.5, args,
-                             [](core::SystemConfig& cfg) { cfg.rtthresh_enabled = false; })));
+         RunVariant(trace, names, 0.5, args,
+                    [](core::SystemConfig& cfg) { cfg.rtthresh_enabled = false; }));
 
   table.Print(std::cout);
   std::printf(

@@ -10,8 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "src/api/run.h"
 #include "src/core/runner.h"
-#include "src/exec/parallel_trace_runner.h"
 #include "src/exec/thread_pool.h"
 #include "src/query/queries.h"
 #include "src/trace/anomaly.h"
@@ -71,12 +71,11 @@ struct BenchArgs {
   // Applies the --shards axis to one cell's system config: per-query worker
   // parallelism (from --threads) with intra-query sharding on top. Callers
   // that use this run their grid cells without a shared pool (see above).
-  void ApplyIntraQuerySharding(core::RunSpec& spec) const {
+  void ApplyIntraQuerySharding(api::PipelineBuilder& builder) const {
     if (shards == 0) {
       return;
     }
-    spec.system.num_threads = threads;
-    spec.system.max_shards_per_query = shards;
+    builder.Threads(threads).MaxShardsPerQuery(shards);
   }
 
   // Pool shared by a driver's grid cells; null (serial) when --threads=0.
@@ -104,43 +103,43 @@ inline trace::TraceSpec Scaled(trace::TraceSpec spec, const BenchArgs& args,
   return spec;
 }
 
-// Builds the RunSpec for one system configuration at overload factor K
-// (capacity = mean unshedded demand * (1 - K), §5.4). `demand` is the
-// precomputed MeasureMeanDemand of the query set, so grid drivers measure it
-// once and fan the cells over exec::ParallelTraceRunner. `buffer_bins` > 0
-// overrides the capture-buffer size; the Ch. 4 method comparisons pass 2.0
-// to reproduce the thesis's 200 ms buffer emulation.
-inline core::RunSpec SpecAtOverload(double demand, const std::vector<std::string>& names,
-                                    double k, core::ShedderKind shedder,
-                                    shed::StrategyKind strategy, const BenchArgs& args,
-                                    bool custom_shedding = false,
-                                    bool default_min_rates = true, double buffer_bins = 0.0) {
-  core::RunSpec spec;
-  spec.system.shedder = shedder;
-  spec.system.strategy = strategy;
-  spec.system.cycles_per_bin = std::max(1.0, demand * (1.0 - k));
-  spec.system.enable_custom_shedding = custom_shedding;
+// Configures one system at overload factor K (capacity = mean unshedded
+// demand * (1 - K), §5.4) running `names`. `demand` is the precomputed
+// MeasureMeanDemand of the query set, so grid drivers measure it once and
+// fan the cells over api::RunPipelineGrid. `buffer_bins` > 0 overrides the
+// capture-buffer size; the Ch. 4 method comparisons pass 2.0 to reproduce
+// the thesis's 200 ms buffer emulation.
+inline api::PipelineBuilder BuilderAtOverload(double demand, const std::vector<std::string>& names,
+                                              double k, core::ShedderKind shedder,
+                                              shed::StrategyKind strategy, const BenchArgs& args,
+                                              bool custom_shedding = false,
+                                              bool default_min_rates = true,
+                                              double buffer_bins = 0.0) {
+  api::PipelineBuilder builder;
+  builder.Shedder(shedder)
+      .Strategy(strategy)
+      .CyclesPerBin(std::max(1.0, demand * (1.0 - k)))
+      .CustomShedding(custom_shedding)
+      .Oracle(args.oracle)
+      .DefaultMinRates(default_min_rates);
   if (buffer_bins > 0.0) {
-    spec.system.buffer_bins = buffer_bins;
+    builder.BufferBins(buffer_bins);
   }
-  spec.oracle = args.oracle;
-  spec.query_names = names;
-  spec.use_default_min_rates = default_min_rates;
-  return spec;
+  for (const auto& name : names) {
+    builder.AddQuery(name);
+  }
+  return builder;
 }
 
 // Runs one system configuration at overload factor K over `trace`.
-inline core::RunResult RunAtOverload(const trace::Trace& trace,
-                                     const std::vector<std::string>& names, double k,
-                                     core::ShedderKind shedder, shed::StrategyKind strategy,
-                                     const BenchArgs& args, bool custom_shedding = false,
-                                     bool default_min_rates = true,
-                                     double buffer_bins = 0.0) {
+inline std::unique_ptr<api::Pipeline> RunAtOverload(
+    const trace::Trace& trace, const std::vector<std::string>& names, double k,
+    core::ShedderKind shedder, shed::StrategyKind strategy, const BenchArgs& args,
+    bool custom_shedding = false, bool default_min_rates = true, double buffer_bins = 0.0) {
   const double demand = core::MeasureMeanDemand(names, trace, args.oracle);
-  return core::RunSystemOnTrace(SpecAtOverload(demand, names, k, shedder, strategy, args,
-                                               custom_shedding, default_min_rates,
-                                               buffer_bins),
-                                trace);
+  return api::RunTrace(BuilderAtOverload(demand, names, k, shedder, strategy, args,
+                                         custom_shedding, default_min_rates, buffer_bins),
+                       trace);
 }
 
 // Per-second aggregation of bin logs for time-series figures.

@@ -30,10 +30,10 @@ int main(int argc, char** argv) {
                                        shed::StrategyKind::kEqSrates, args,
                                        /*custom=*/false, /*min_rates=*/false,
                                        /*buffer_bins=*/2.0);
-    capacity = result.system->capacity();
+    capacity = result->system().capacity();
     std::vector<double> usage;
     size_t zero_bins = 0;
-    for (const auto& bin : result.system->log()) {
+    for (const auto& bin : result->log()) {
       const double spent = bin.query_cycles + bin.ps_cycles + bin.ls_cycles;
       usage.push_back(spent);
       if (bin.batch_dropped) {

@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
                                        shed::StrategyKind::kEqSrates, args,
                                        /*custom=*/false, /*min_rates=*/false,
                                        /*buffer_bins=*/2.0);
-    const auto seconds = bench::PerSecond(result.system->log());
+    const auto seconds = bench::PerSecond(result->log());
     std::printf("\n(%s)\n\n", bench::ShedderName(shedder).c_str());
     util::Table table({"t (s)", "packets", "DAG drops", "unsampled"});
     for (size_t s = 0; s < seconds.size(); ++s) {
@@ -29,10 +29,10 @@ int main(int argc, char** argv) {
     }
     table.Print(std::cout);
     std::printf("totals: %llu packets, %llu uncontrolled drops (%.1f%%)\n",
-                static_cast<unsigned long long>(result.system->total_packets()),
-                static_cast<unsigned long long>(result.system->total_dropped()),
-                100.0 * static_cast<double>(result.system->total_dropped()) /
-                    static_cast<double>(result.system->total_packets()));
+                static_cast<unsigned long long>(result->total_packets()),
+                static_cast<unsigned long long>(result->total_dropped()),
+                100.0 * static_cast<double>(result->total_dropped()) /
+                    static_cast<double>(result->total_packets()));
   }
   std::printf(
       "\nPaper shape: zero uncontrolled drops for the predictive system during\n"

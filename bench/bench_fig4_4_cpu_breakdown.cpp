@@ -17,10 +17,10 @@ int main(int argc, char** argv) {
                                      shed::StrategyKind::kEqSrates, args,
                                      /*custom=*/false, /*min_rates=*/false);
 
-  const double capacity = result.system->capacity();
+  const double capacity = result->system().capacity();
   util::Table table({"t (s)", "como", "lshed", "pred subsys", "queries", "total",
                      "predicted (no shed)", "capacity"});
-  const auto& log = result.system->log();
+  const auto& log = result->log();
   size_t i = 0;
   while (i < log.size()) {
     double como = 0.0, ls = 0.0, ps = 0.0, q = 0.0, pred = 0.0;

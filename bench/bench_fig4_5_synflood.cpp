@@ -28,14 +28,14 @@ void RunScenario(const trace::TraceSpec& base, const bench::BenchArgs& args) {
                                        shed::StrategyKind::kEqSrates, args,
                                        /*custom=*/false, /*min_rates=*/false);
     util::RunningStats cpu;
-    for (const auto& bin : result.system->log()) {
+    for (const auto& bin : result->log()) {
       cpu.Add(bin.query_cycles + bin.ps_cycles + bin.ls_cycles + bin.como_cycles);
     }
     table.AddRow({shedder == core::ShedderKind::kPredictive ? "load shedding (flow sampl.)"
                                                             : "no load shedding",
                   util::FmtSci(cpu.mean(), 2), util::FmtSci(cpu.max(), 2),
-                  util::FmtPercent(result.Accuracy(0).mean_error, 2),
-                  std::to_string(result.system->total_dropped())});
+                  util::FmtPercent(result->AccuracyAt(0).mean_error, 2),
+                  std::to_string(result->total_dropped())});
   }
   table.Print(std::cout);
 }

@@ -33,21 +33,21 @@ int main(int argc, char** argv) {
         int idx = 0;
         for (const auto strategy :
              {shed::StrategyKind::kMmfsCpu, shed::StrategyKind::kMmfsPkt}) {
-          core::RunSpec spec;
-          spec.system.shedder = core::ShedderKind::kPredictive;
-          spec.system.strategy = strategy;
           const double demand = core::MeasureMeanDemand(names, trace_data, args.oracle);
-          spec.system.cycles_per_bin = std::max(1.0, demand * (1.0 - k));
-          spec.oracle = args.oracle;
-          spec.query_names = names;
-          spec.use_default_min_rates = false;
-          spec.query_configs.assign(names.size(), core::QueryConfig{mq, true});
-          auto result = RunSystemOnTrace(spec, trace_data);
+          api::PipelineBuilder builder;
+          builder.Shedder(core::ShedderKind::kPredictive)
+              .Strategy(strategy)
+              .CyclesPerBin(std::max(1.0, demand * (1.0 - k)))
+              .Oracle(args.oracle);
+          for (const auto& name : names) {
+            builder.AddQuery(name, core::QueryConfig{mq, true});
+          }
+          auto result = api::RunTrace(builder, trace_data);
           // trace accuracy = processed fraction; counter accuracy = 1 - err.
           double avg = 0.0;
           double min_acc = 1.0;
           for (size_t q = 0; q < names.size(); ++q) {
-            const double acc = result.MeanAccuracy(q);
+            const double acc = result->MeanAccuracyAt(q);
             avg += acc;
             min_acc = std::min(min_acc, acc);
           }

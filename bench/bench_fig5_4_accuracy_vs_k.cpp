@@ -3,7 +3,6 @@
 // representative nine-query set with its Table 5.2 rate constraints.
 
 #include "bench/bench_common.h"
-#include "src/api/run.h"
 
 int main(int argc, char** argv) {
   using namespace shedmon;
@@ -42,10 +41,10 @@ int main(int argc, char** argv) {
   const auto results = api::RunPipelineGrid(
       ks.size() * systems.size(),
       [&](size_t cell) {
-        return bench::SpecAtOverload(demand, names, ks[cell / systems.size()],
-                                     systems[cell % systems.size()].shedder,
-                                     systems[cell % systems.size()].strategy, args,
-                                     /*custom_shedding=*/false, /*default_min_rates=*/true);
+        return bench::BuilderAtOverload(demand, names, ks[cell / systems.size()],
+                                        systems[cell % systems.size()].shedder,
+                                        systems[cell % systems.size()].strategy, args,
+                                        /*custom_shedding=*/false, /*default_min_rates=*/true);
       },
       trace, pool.get());
 

@@ -34,8 +34,8 @@ int main(int argc, char** argv) {
     auto result = bench::RunAtOverload(trace, names, 0.2, system.shedder, system.strategy,
                                        args, /*custom=*/false, /*min_rates=*/true);
     std::vector<double> acc;
-    const auto& est = result.system->query(autofocus_idx);
-    const auto& ref = *result.reference[autofocus_idx];
+    const auto& est = result->system().query(autofocus_idx);
+    const auto& ref = result->ReferenceAt(autofocus_idx);
     const size_t n = std::min(est.completed_intervals(), ref.completed_intervals());
     for (size_t i = 0; i < n; ++i) {
       acc.push_back(1.0 - est.IntervalError(ref, i));

@@ -27,14 +27,14 @@ int main(int argc, char** argv) {
                                      /*custom=*/true, /*min_rates=*/true);
 
   std::printf("Fig 6.12/6.13 — CPU, predicted load, buffer and drops over time:\n\n");
-  const auto seconds = bench::PerSecond(result.system->log());
+  const auto seconds = bench::PerSecond(result->log());
   util::Table ts({"t (s)", "packets", "used cycles", "predicted", "buffer occ", "drops"});
   const size_t stride = seconds.size() > 20 ? seconds.size() / 20 : 1;
   for (size_t s = 0; s < seconds.size(); s += stride) {
     ts.AddRow({util::Fmt(static_cast<double>(s), 0), util::Fmt(seconds[s].packets, 0),
                util::FmtSci(seconds[s].query_cycles, 2),
                util::FmtSci(seconds[s].predicted, 2),
-               util::Fmt(seconds[s].backlog / (2.0 * result.system->capacity()), 2),
+               util::Fmt(seconds[s].backlog / (2.0 * result->system().capacity()), 2),
                util::Fmt(seconds[s].dropped, 0)});
   }
   ts.Print(std::cout);
@@ -50,18 +50,18 @@ int main(int argc, char** argv) {
   std::printf("\nTable 6.2 — breakdown of the accuracy by query (mean ± stdev):\n\n");
   util::Table acc({"query", "accuracy"});
   for (size_t q = 0; q < names.size(); ++q) {
-    const auto row = result.Accuracy(q);
+    const auto row = result->AccuracyAt(q);
     acc.AddRow({names[q], util::Fmt(1.0 - row.mean_error, 2) + " ±" +
                               util::Fmt(row.stdev_error, 2)});
   }
   acc.Print(std::cout);
   std::printf("\noverall: avg accuracy %.2f | min %.2f | drops %llu / %llu packets\n",
-              result.AverageAccuracy(), result.MinimumAccuracy(),
-              static_cast<unsigned long long>(result.system->total_dropped()),
-              static_cast<unsigned long long>(result.system->total_packets()));
+              result->AverageAccuracy(), result->MinimumAccuracy(),
+              static_cast<unsigned long long>(result->total_dropped()),
+              static_cast<unsigned long long>(result->total_packets()));
   std::printf(
       "\nPaper shape: predicted load exceeds the capacity for most of the run;\n"
       "post-shedding usage hugs it; the buffer stays far from full (no DAG\n"
       "drops) and per-query accuracy stays high (Figs 6.12-6.14, Table 6.2).\n\n");
-  return result.system->total_dropped() == 0 ? 0 : 1;
+  return result->total_dropped() == 0 ? 0 : 1;
 }

@@ -26,10 +26,10 @@ int main(int argc, char** argv) {
     auto plain = bench::RunAtOverload(trace, names, k, core::ShedderKind::kPredictive,
                                       shed::StrategyKind::kMmfsPkt, args,
                                       /*custom=*/false, /*min_rates=*/true);
-    table.AddRow({util::Fmt(k, 2), util::Fmt(custom.AverageAccuracy(), 2),
-                  util::Fmt(custom.MinimumAccuracy(), 2),
-                  util::Fmt(plain.AverageAccuracy(), 2),
-                  util::Fmt(plain.MinimumAccuracy(), 2)});
+    table.AddRow({util::Fmt(k, 2), util::Fmt(custom->AverageAccuracy(), 2),
+                  util::Fmt(custom->MinimumAccuracy(), 2),
+                  util::Fmt(plain->AverageAccuracy(), 2),
+                  util::Fmt(plain->MinimumAccuracy(), 2)});
   }
   table.Print(std::cout);
   std::printf(

@@ -3,7 +3,6 @@
 // same overload: CPU control, drops, and per-query accuracy.
 
 #include "bench/bench_common.h"
-#include "src/api/run.h"
 
 int main(int argc, char** argv) {
   using namespace shedmon;
@@ -37,11 +36,13 @@ int main(int argc, char** argv) {
   const auto results = api::RunPipelineGrid(
       systems.size(),
       [&](size_t cell) {
-        auto spec = bench::SpecAtOverload(demand, names, 0.5, core::ShedderKind::kPredictive,
-                                          systems[cell].strategy, args, systems[cell].custom,
-                                          /*default_min_rates=*/true);
-        args.ApplyIntraQuerySharding(spec);
-        return spec;
+        auto builder = bench::BuilderAtOverload(demand, names, 0.5,
+                                                core::ShedderKind::kPredictive,
+                                                systems[cell].strategy, args,
+                                                systems[cell].custom,
+                                                /*default_min_rates=*/true);
+        args.ApplyIntraQuerySharding(builder);
+        return builder;
       },
       trace, pool.get());
 

@@ -30,26 +30,26 @@ int main(int argc, char** argv) {
                                      shed::StrategyKind::kMmfsPkt, args,
                                      /*custom=*/true, /*min_rates=*/true);
 
-  const auto seconds = bench::PerSecond(result.system->log());
+  const auto seconds = bench::PerSecond(result->log());
   util::Table table({"t (s)", "packets", "mean srate", "drops", "backlog/cap"});
   for (size_t s = 0; s < seconds.size(); ++s) {
     table.AddRow({util::Fmt(static_cast<double>(s), 0), util::Fmt(seconds[s].packets, 0),
                   util::Fmt(seconds[s].mean_rate, 2), util::Fmt(seconds[s].dropped, 0),
-                  util::Fmt(seconds[s].backlog / result.system->capacity(), 2)});
+                  util::Fmt(seconds[s].backlog / result->system().capacity(), 2)});
   }
   table.Print(std::cout);
 
   std::printf("\nPer-query accuracy over the whole run (attacks included):\n\n");
   util::Table acc({"query", "accuracy"});
   for (size_t q = 0; q < names.size(); ++q) {
-    acc.AddRow({names[q], util::Fmt(result.MeanAccuracy(q), 2)});
+    acc.AddRow({names[q], util::Fmt(result->MeanAccuracyAt(q), 2)});
   }
   acc.Print(std::cout);
   std::printf("total uncontrolled drops: %llu\n",
-              static_cast<unsigned long long>(result.system->total_dropped()));
+              static_cast<unsigned long long>(result->total_dropped()));
   std::printf(
       "\nPaper shape: during the floods the sampling rate dives but the system\n"
       "stays responsive with no uncontrolled losses and bounded errors\n"
       "(Fig 6.8).\n\n");
-  return result.system->total_dropped() == 0 ? 0 : 1;
+  return result->total_dropped() == 0 ? 0 : 1;
 }

@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
 
   struct MethodRun {
     std::string label;
-    core::RunResult result;
+    std::unique_ptr<api::Pipeline> result;
   };
   std::vector<MethodRun> runs;
   for (const auto shedder : {core::ShedderKind::kPredictive, core::ShedderKind::kNoShed,
@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
   for (size_t q = 0; q < names.size(); ++q) {
     std::vector<std::string> row = {names[q]};
     for (auto& run : runs) {
-      const auto acc = run.result.Accuracy(q);
+      const auto acc = run.result->AccuracyAt(q);
       row.push_back(util::FmtPercent(acc.mean_error, 2) + " ±" +
                     util::Fmt(acc.stdev_error * 100.0, 2));
     }
@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
   for (auto& run : runs) {
     util::RunningStats err;
     for (size_t q = 0; q < names.size(); ++q) {
-      err.Add(run.result.Accuracy(q).mean_error);
+      err.Add(run.result->AccuracyAt(q).mean_error);
     }
     avg.AddRow({run.label, util::FmtPercent(err.mean(), 2)});
     if (run.label.rfind("predictive", 0) == 0) {

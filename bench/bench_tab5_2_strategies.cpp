@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
       {"mmfs_pkt", core::ShedderKind::kPredictive, shed::StrategyKind::kMmfsPkt},
   };
 
-  std::vector<core::RunResult> results;
+  std::vector<std::unique_ptr<api::Pipeline>> results;
   for (const auto& system : systems) {
     results.push_back(bench::RunAtOverload(trace, names, 0.5, system.shedder, system.strategy,
                                            args, /*custom=*/false, /*min_rates=*/true));
@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
     std::vector<std::string> row = {names[q], util::Fmt(core::DefaultMinRate(names[q]), 2)};
     for (auto& result : results) {
       // Accuracy per Fig. 5.3: 1 - error when the minimum rate was honoured.
-      row.push_back(util::Fmt(result.MeanAccuracy(q), 2));
+      row.push_back(util::Fmt(result->MeanAccuracyAt(q), 2));
     }
     table.AddRow(row);
   }
@@ -48,8 +48,8 @@ int main(int argc, char** argv) {
   std::printf("\nAverage / minimum accuracy across queries:\n\n");
   util::Table avg({"system", "avg", "min"});
   for (size_t s = 0; s < systems.size(); ++s) {
-    avg.AddRow({systems[s].label, util::Fmt(results[s].AverageAccuracy(), 2),
-                util::Fmt(results[s].MinimumAccuracy(), 2)});
+    avg.AddRow({systems[s].label, util::Fmt(results[s]->AverageAccuracy(), 2),
+                util::Fmt(results[s]->MinimumAccuracy(), 2)});
   }
   avg.Print(std::cout);
   std::printf(

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <fstream>
 #include <string>
+#include <utility>
 
 namespace shedmon::api {
 
@@ -62,7 +63,75 @@ bool ParseBool(std::string_view origin, size_t line_no, std::string_view key,
   Fail(origin, line_no, std::string(key) + ": expected a boolean, got '" + value + "'");
 }
 
+// Maps `name` through a spelling table; on a miss, throws ConfigError
+// listing every accepted spelling.
+template <typename Enum, size_t N>
+Enum ParseName(std::string_view setting, std::string_view name,
+               const std::pair<std::string_view, Enum> (&spellings)[N]) {
+  std::string accepted;
+  for (const auto& [spelling, value] : spellings) {
+    if (name == spelling) {
+      return value;
+    }
+    if (!accepted.empty()) {
+      accepted += '|';
+    }
+    accepted += spelling;
+  }
+  throw ConfigError(std::string(setting) + ": expected " + accepted + ", got '" +
+                    std::string(name) + "'");
+}
+
+// Runs a name parser on a config-file value, prefixing errors with the line.
+template <typename Parse>
+auto ParseAt(std::string_view origin, size_t line_no, Parse parse, const std::string& value) {
+  try {
+    return parse(value);
+  } catch (const ConfigError& error) {
+    Fail(origin, line_no, error.what());
+  }
+}
+
+predict::PredictorKind ParsePredictorKind(std::string_view name) {
+  static constexpr std::pair<std::string_view, predict::PredictorKind> kSpellings[] = {
+      {"mlr", predict::PredictorKind::kMlr},
+      {"slr", predict::PredictorKind::kSlr},
+      {"ewma", predict::PredictorKind::kEwma}};
+  return ParseName("kind", name, kSpellings);
+}
+
 }  // namespace
+
+core::ShedderKind ParseShedder(std::string_view name) {
+  static constexpr std::pair<std::string_view, core::ShedderKind> kSpellings[] = {
+      {"predictive", core::ShedderKind::kPredictive},
+      {"reactive", core::ShedderKind::kReactive},
+      {"noshed", core::ShedderKind::kNoShed},
+      {"none", core::ShedderKind::kNoShed}};
+  return ParseName("shedder", name, kSpellings);
+}
+
+shed::StrategyKind ParseStrategy(std::string_view name) {
+  static constexpr std::pair<std::string_view, shed::StrategyKind> kSpellings[] = {
+      {"eq_srates", shed::StrategyKind::kEqSrates}, {"eq", shed::StrategyKind::kEqSrates},
+      {"mmfs_cpu", shed::StrategyKind::kMmfsCpu},   {"cpu", shed::StrategyKind::kMmfsCpu},
+      {"mmfs_pkt", shed::StrategyKind::kMmfsPkt},   {"pkt", shed::StrategyKind::kMmfsPkt}};
+  return ParseName("strategy", name, kSpellings);
+}
+
+core::OracleKind ParseOracle(std::string_view name) {
+  static constexpr std::pair<std::string_view, core::OracleKind> kSpellings[] = {
+      {"model", core::OracleKind::kModel}, {"measured", core::OracleKind::kMeasured}};
+  return ParseName("oracle", name, kSpellings);
+}
+
+rt::OverflowPolicy ParseOverflowPolicy(std::string_view name) {
+  static constexpr std::pair<std::string_view, rt::OverflowPolicy> kSpellings[] = {
+      {"block", rt::OverflowPolicy::kBlock},
+      {"drop-newest", rt::OverflowPolicy::kDropNewest},
+      {"drop-oldest", rt::OverflowPolicy::kDropOldest}};
+  return ParseName("overflow policy", name, kSpellings);
+}
 
 FileConfig ParseConfig(std::istream& in, std::string_view origin) {
   FileConfig config;
@@ -110,25 +179,9 @@ FileConfig ParseConfig(std::istream& in, std::string_view origin) {
       } else if (key == "cycles_per_bin") {
         sys.cycles_per_bin = ParseF64(origin, line_no, key, value);
       } else if (key == "shedder") {
-        if (value == "predictive") {
-          sys.shedder = core::ShedderKind::kPredictive;
-        } else if (value == "reactive") {
-          sys.shedder = core::ShedderKind::kReactive;
-        } else if (value == "noshed") {
-          sys.shedder = core::ShedderKind::kNoShed;
-        } else {
-          Fail(origin, line_no, "shedder: expected predictive|reactive|noshed, got '" + value + "'");
-        }
+        sys.shedder = ParseAt(origin, line_no, ParseShedder, value);
       } else if (key == "strategy") {
-        if (value == "eq_srates") {
-          sys.strategy = shed::StrategyKind::kEqSrates;
-        } else if (value == "mmfs_cpu") {
-          sys.strategy = shed::StrategyKind::kMmfsCpu;
-        } else if (value == "mmfs_pkt") {
-          sys.strategy = shed::StrategyKind::kMmfsPkt;
-        } else {
-          Fail(origin, line_no, "strategy: expected eq_srates|mmfs_cpu|mmfs_pkt, got '" + value + "'");
-        }
+        sys.strategy = ParseAt(origin, line_no, ParseStrategy, value);
       } else if (key == "threads") {
         sys.num_threads = static_cast<size_t>(ParseU64(origin, line_no, key, value));
       } else if (key == "shards") {
@@ -144,13 +197,7 @@ FileConfig ParseConfig(std::istream& in, std::string_view origin) {
       } else if (key == "custom_shedding") {
         sys.enable_custom_shedding = ParseBool(origin, line_no, key, value);
       } else if (key == "oracle") {
-        if (value == "model") {
-          config.oracle = core::OracleKind::kModel;
-        } else if (value == "measured") {
-          config.oracle = core::OracleKind::kMeasured;
-        } else {
-          Fail(origin, line_no, "oracle: expected model|measured, got '" + value + "'");
-        }
+        config.oracle = ParseAt(origin, line_no, ParseOracle, value);
       } else if (key == "track_accuracy") {
         config.track_accuracy = ParseBool(origin, line_no, key, value);
       } else if (key == "default_min_rates") {
@@ -161,15 +208,7 @@ FileConfig ParseConfig(std::istream& in, std::string_view origin) {
     } else if (section == "predictor") {
       predict::PredictorConfig& pred = config.system.predictor;
       if (key == "kind") {
-        if (value == "mlr") {
-          pred.kind = predict::PredictorKind::kMlr;
-        } else if (value == "slr") {
-          pred.kind = predict::PredictorKind::kSlr;
-        } else if (value == "ewma") {
-          pred.kind = predict::PredictorKind::kEwma;
-        } else {
-          Fail(origin, line_no, "kind: expected mlr|slr|ewma, got '" + value + "'");
-        }
+        pred.kind = ParseAt(origin, line_no, ParsePredictorKind, value);
       } else if (key == "history") {
         pred.history = static_cast<size_t>(ParseU64(origin, line_no, key, value));
       } else if (key == "fcbf_threshold") {

@@ -8,6 +8,7 @@
 
 #include "src/core/cost.h"
 #include "src/core/system.h"
+#include "src/rt/bounded_queue.h"
 
 namespace shedmon::api {
 
@@ -19,6 +20,15 @@ class ConfigError : public std::invalid_argument {
  public:
   using std::invalid_argument::invalid_argument;
 };
+
+// Strict name -> enum parsers, shared by the config-file parser and the CLI
+// so both accept the same spellings (the historical CLI short form and the
+// config-file long form). Anything else throws ConfigError naming the
+// setting and the accepted values.
+core::ShedderKind ParseShedder(std::string_view name);      // predictive|reactive|noshed|none
+shed::StrategyKind ParseStrategy(std::string_view name);    // eq_srates|eq|mmfs_cpu|cpu|...
+core::OracleKind ParseOracle(std::string_view name);        // model|measured
+rt::OverflowPolicy ParseOverflowPolicy(std::string_view name);  // block|drop-newest|drop-oldest
 
 // A fully parsed pipeline config file: the system configuration plus the
 // builder-level knobs (oracle, accuracy tracking, query roster, sinks) that
@@ -39,8 +49,8 @@ struct FileConfig {
 //   [system]
 //   time_bin_us = 100000
 //   cycles_per_bin = 2.5e6
-//   shedder = predictive        ; predictive | reactive | noshed
-//   strategy = mmfs_cpu         ; eq_srates | mmfs_cpu | mmfs_pkt
+//   shedder = predictive        ; predictive | reactive | noshed (none)
+//   strategy = mmfs_cpu         ; eq_srates (eq) | mmfs_cpu (cpu) | mmfs_pkt (pkt)
 //   threads = 4
 //   shards = 8
 //   seed = 42

@@ -19,6 +19,12 @@ namespace shedmon::api {
 namespace {
 constexpr size_t kNpos = static_cast<size_t>(-1);
 
+// Push is synchronous (the caller is the consumer), so a "blocking" ingest
+// cap could never block; it used to absorb silently. Rejected instead.
+constexpr char kBlockIngestPolicyError[] =
+    "IngestCap: the block policy does nothing at the synchronous Pipeline; use drop-newest or "
+    "drop-oldest";
+
 // Sink-path probe for eager validation: Build() must fail before a system
 // exists, not after the first bin, so the path is opened (append, to not
 // clobber an existing file) and closed again.
@@ -54,16 +60,12 @@ class PipelineIngestSink final : public capture::IngestSink {
 // ---------------------------------------------------------------------------
 
 bool QueryHandle::valid() const {
-  return pipeline_ != nullptr && id_ != 0 && pipeline_->system_ != nullptr &&
-         pipeline_->FindSlot(id_) != kNpos;
+  return pipeline_ != nullptr && id_ != 0 && pipeline_->FindSlot(id_) != kNpos;
 }
 
 size_t QueryHandle::index() const {
   if (pipeline_ == nullptr || id_ == 0) {
     throw std::logic_error("QueryHandle: not attached to a Pipeline");
-  }
-  if (pipeline_->system_ == nullptr) {
-    throw std::logic_error("QueryHandle: the Pipeline's system was released");
   }
   return pipeline_->SlotIndex(id_);
 }
@@ -294,14 +296,6 @@ std::unique_ptr<Pipeline> PipelineBuilder::RestoreOrBuild(const std::string& pat
   return pipeline;
 }
 
-PipelineBuilder PipelineBuilder::FromRunSpec(const core::RunSpec& spec) {
-  PipelineBuilder builder;
-  builder.config_ = spec.system;
-  builder.oracle_ = spec.oracle;
-  builder.default_min_rates_ = spec.use_default_min_rates;
-  return builder;
-}
-
 PipelineBuilder PipelineBuilder::FromConfig(const FileConfig& config) {
   PipelineBuilder builder;
   builder.config_ = config.system;
@@ -365,6 +359,9 @@ void PipelineBuilder::Validate() const {
                                pending.config.min_sampling_rate > 1.0)) {
       throw ConfigError("query '" + pending.name + "': min_sampling_rate must be in [0, 1]");
     }
+  }
+  if (ingest_policy_ == rt::OverflowPolicy::kBlock) {
+    throw ConfigError(kBlockIngestPolicyError);
   }
   if (deadline_enabled_ && !(governor_config_.budget_fraction > 0.0)) {
     throw ConfigError("deadline budget_fraction must be positive");
@@ -578,16 +575,6 @@ void Pipeline::Push(const trace::Trace& trace) {
   }
 }
 
-// Deprecated raw-record shims; bodies go straight to AppendRecord so the
-// library builds without tripping its own deprecation warnings.
-void Pipeline::Push(const net::PacketRecord& record) { AppendRecord(record, nullptr); }
-
-void Pipeline::Push(std::span<const net::PacketRecord> records) {
-  for (const net::PacketRecord& record : records) {
-    AppendRecord(record, nullptr);
-  }
-}
-
 void Pipeline::AppendRecord(const net::PacketRecord& record, const uint8_t* payload_bytes,
                             bool pin_payload) {
   EnsureOpen("Push");
@@ -599,29 +586,17 @@ void Pipeline::AppendRecord(const net::PacketRecord& record, const uint8_t* payl
     FlushThrough(bin);
   }
   if (ingest_cap_ > 0 && open_records() >= ingest_cap_) {
-    switch (ingest_policy_) {
-      case rt::OverflowPolicy::kDropNewest:
-        ++ingest_dropped_;
-        if (m_ingest_dropped_ != nullptr) {
-          m_ingest_dropped_->Increment();
-        }
-        return;
-      case rt::OverflowPolicy::kDropOldest:
-        // Evict by advancing the head; the evicted payload bytes idle in the
-        // arena until the bin closes (see the ingest_head_ comment).
-        wire_bytes_ -= records_[ingest_head_].wire_len;
-        ++ingest_head_;
-        ++ingest_dropped_;
-        if (m_ingest_dropped_ != nullptr) {
-          m_ingest_dropped_->Increment();
-        }
-        break;
-      case rt::OverflowPolicy::kBlock:
-        // Backpressure at a synchronous facade is Push's own synchrony: the
-        // caller is already blocked for the duration of the call, so a full
-        // buffer simply keeps absorbing (i.e. the cap is advisory here).
-        break;
+    ++ingest_dropped_;
+    if (m_ingest_dropped_ != nullptr) {
+      m_ingest_dropped_->Increment();
     }
+    if (ingest_policy_ != rt::OverflowPolicy::kDropOldest) {
+      return;  // kDropNewest (SetIngestCap rejects kBlock)
+    }
+    // Evict by advancing the head; the evicted payload bytes idle in the
+    // arena until the bin closes (see the ingest_head_ comment).
+    wire_bytes_ -= records_[ingest_head_].wire_len;
+    ++ingest_head_;
   }
   records_.push_back(record);
   const bool pin = pin_payload && payload_bytes != nullptr && record.payload_len > 0;
@@ -923,6 +898,9 @@ void Pipeline::SetFaultPlan(const rt::FaultPlan& plan) {
 }
 
 void Pipeline::SetIngestCap(size_t max_records, rt::OverflowPolicy policy) {
+  if (policy == rt::OverflowPolicy::kBlock) {
+    throw ConfigError(kBlockIngestPolicyError);
+  }
   ingest_cap_ = max_records;
   ingest_policy_ = policy;
   if (ingest_cap_ > 0 && m_ingest_dropped_ == nullptr) {
@@ -995,14 +973,19 @@ void Pipeline::MaybeCheckpoint() {
   }
 }
 
-query::AccuracyRow Pipeline::AccuracyAt(size_t index) const {
+const query::Query& Pipeline::ReferenceAt(size_t index) const {
   if (index >= slots_.size()) {
-    throw std::out_of_range("Pipeline::AccuracyAt: no query at this index");
+    throw std::out_of_range("Pipeline::ReferenceAt: no query at this index");
   }
   if (slots_[index].reference == nullptr) {
-    throw std::logic_error("Pipeline::AccuracyAt: no reference tracked for this query");
+    throw std::logic_error("Pipeline::ReferenceAt: no reference tracked for this query");
   }
-  return query::SummarizeAccuracy(system_->query(index), *slots_[index].reference);
+  return *slots_[index].reference;
+}
+
+query::AccuracyRow Pipeline::AccuracyAt(size_t index) const {
+  const query::Query& reference = ReferenceAt(index);  // validates the index first
+  return query::SummarizeAccuracy(system_->query(index), reference);
 }
 
 double Pipeline::MeanAccuracyAt(size_t index) const {
@@ -1029,28 +1012,6 @@ double Pipeline::MinimumAccuracy() const {
     }
   }
   return min;
-}
-
-std::unique_ptr<core::MonitoringSystem> Pipeline::ReleaseSystem() {
-  if (!finished_) {
-    throw std::logic_error("Pipeline::ReleaseSystem: call Finish() first");
-  }
-  // The HTTP handler dereferences system_ (metrics snapshots); join the
-  // accept thread before the system leaves this pipeline.
-  server_.reset();
-  return std::move(system_);
-}
-
-std::vector<std::unique_ptr<query::Query>> Pipeline::ReleaseReferences() {
-  if (!finished_) {
-    throw std::logic_error("Pipeline::ReleaseReferences: call Finish() first");
-  }
-  std::vector<std::unique_ptr<query::Query>> references;
-  references.reserve(slots_.size());
-  for (Slot& slot : slots_) {
-    references.push_back(std::move(slot.reference));
-  }
-  return references;
 }
 
 // ---------------------------------------------------------------------------

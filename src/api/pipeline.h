@@ -158,7 +158,7 @@ class PipelineBuilder {
   // per-query accuracy is queryable live from a handle (default on).
   PipelineBuilder& TrackAccuracy(bool enable = true);
   // Apply core::DefaultMinRate to queries added by name without an explicit
-  // QueryConfig (default on, matching core::RunSpec::use_default_min_rates).
+  // QueryConfig (default on).
   PipelineBuilder& DefaultMinRates(bool enable = true);
 
   // ---- Declarative roster & sinks ----------------------------------------
@@ -212,10 +212,10 @@ class PipelineBuilder {
   // steady-clock rt::SystemClock.
   PipelineBuilder& RtClock(std::shared_ptr<rt::Clock> clock);
   // Bounds the open-bin ingest buffer to `max_records` packets. kDropNewest
-  // rejects arrivals while full; kDropOldest evicts the oldest buffered
-  // record; kBlock (the default policy) means backpressure — which at this
-  // synchronous facade is simply Push's own synchrony, i.e. unbounded. 0
-  // disables (the default). Drops are tallied in PipelineStats and
+  // (the default policy) rejects arrivals while full; kDropOldest evicts the
+  // oldest buffered record. kBlock is rejected with ConfigError: Push is
+  // synchronous, so there is nothing to block and the cap would do nothing.
+  // 0 disables (the default). Drops are tallied in PipelineStats and
   // shedmon_rt_ingest_dropped_total, never in BinLog packet fields.
   PipelineBuilder& IngestCap(size_t max_records,
                              rt::OverflowPolicy policy = rt::OverflowPolicy::kDropNewest);
@@ -240,9 +240,6 @@ class PipelineBuilder {
   // options above are re-applied to the restored pipeline either way.
   std::unique_ptr<Pipeline> RestoreOrBuild(const std::string& path) const;
 
-  // Mirrors a core::RunSpec (system config, oracle, min-rate policy); the
-  // spec's queries are added by the caller, e.g. via api::RunTrace.
-  static PipelineBuilder FromRunSpec(const core::RunSpec& spec);
   // Loads a parsed config file (see api::ParseConfigFile for the format):
   // system knobs, query roster, and sinks. The fluent setters still apply on
   // top, so a file can serve as a base that code overrides.
@@ -391,15 +388,6 @@ class Pipeline {
   // like Push.
   void PushPinned(const net::Packet& packet);
 
-  // Raw-record compatibility shims. Deprecated: the record-vs-packet split
-  // made payload handling ambiguous at the API surface (records materialize
-  // payloads downstream, packets carry them), so ingestion converges on
-  // Packet. Equivalent to Push(net::Packet::View(record)).
-  [[deprecated("use Push(net::Packet::View(record)) — Packet is the ingestion currency")]]
-  void Push(const net::PacketRecord& record);
-  [[deprecated("wrap each record with net::Packet::View and use the Packet span overload")]]
-  void Push(std::span<const net::PacketRecord> records);
-
   // Declares that the clock reached `ts_us`: closes every bin that ends at
   // or before it (empty bins included) without pushing a packet. This is how
   // live drivers close idle bins and how mid-run arrivals are sequenced
@@ -493,6 +481,7 @@ class Pipeline {
   void SetDeadline(const rt::GovernorConfig& config);
   void ClearDeadline();
   void SetFaultPlan(const rt::FaultPlan& plan);
+  // Throws ConfigError for kBlock (see PipelineBuilder::IngestCap).
   void SetIngestCap(size_t max_records, rt::OverflowPolicy policy);
   void SetSinkRetry(const rt::RetryPolicy& policy);
   // Arms periodic crash-safe checkpoints (empty path disarms). Checkpoints
@@ -523,19 +512,14 @@ class Pipeline {
   void Snapshot(std::ostream& out) const;
   void Snapshot(const std::string& path) const;
 
-  // Index-based accuracy twins of the QueryHandle accessors (index = current
-  // registration order), for whole-run summaries.
+  // Index-based twins of the QueryHandle accessors (index = current
+  // registration order), for whole-run summaries. ReferenceAt and AccuracyAt
+  // throw std::logic_error when the query has no tracked reference.
+  const query::Query& ReferenceAt(size_t index) const;
   query::AccuracyRow AccuracyAt(size_t index) const;
   double MeanAccuracyAt(size_t index) const;
   double AverageAccuracy() const;  // across accuracy-tracked queries
   double MinimumAccuracy() const;  // worst accuracy-tracked query
-
-  // ---- Compatibility extraction ------------------------------------------
-  // Moves the finished run's guts out for core::RunResult (the thin
-  // RunSystemOnTrace wrapper). Only valid after Finish(); the pipeline is
-  // dead afterwards.
-  std::unique_ptr<core::MonitoringSystem> ReleaseSystem();
-  std::vector<std::unique_ptr<query::Query>> ReleaseReferences();
 
  private:
   friend class PipelineBuilder;

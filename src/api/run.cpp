@@ -2,27 +2,18 @@
 
 namespace shedmon::api {
 
-std::unique_ptr<Pipeline> RunTrace(const core::RunSpec& spec, const trace::Trace& trace) {
-  auto pipeline = PipelineBuilder::FromRunSpec(spec).BuildUnique();
-  for (size_t i = 0; i < spec.query_names.size(); ++i) {
-    if (i < spec.query_configs.size()) {
-      pipeline->AddQuery(spec.query_names[i], spec.query_configs[i]);
-    } else {
-      // Falls back to DefaultMinRate when the spec asks for it (the builder
-      // carried use_default_min_rates over from the spec).
-      pipeline->AddQuery(spec.query_names[i]);
-    }
-  }
+std::unique_ptr<Pipeline> RunTrace(const PipelineBuilder& builder, const trace::Trace& trace) {
+  auto pipeline = builder.BuildUnique();
   pipeline->Push(trace);
   pipeline->Finish();
   return pipeline;
 }
 
 std::vector<std::unique_ptr<Pipeline>> RunPipelineGrid(
-    size_t cells, const std::function<core::RunSpec(size_t)>& make_spec,
+    size_t cells, const std::function<PipelineBuilder(size_t)>& make_builder,
     const trace::Trace& trace, exec::ThreadPool* pool) {
   std::vector<std::unique_ptr<Pipeline>> results(cells);
-  const auto run_one = [&](size_t i) { results[i] = RunTrace(make_spec(i), trace); };
+  const auto run_one = [&](size_t i) { results[i] = RunTrace(make_builder(i), trace); };
   if (pool != nullptr && cells > 1) {
     pool->ParallelFor(0, cells, 1, run_one);
   } else {
@@ -34,19 +25,3 @@ std::vector<std::unique_ptr<Pipeline>> RunPipelineGrid(
 }
 
 }  // namespace shedmon::api
-
-namespace shedmon::core {
-
-// Historical batch-mode entry point, kept for the figure drivers and tests:
-// now a thin wrapper that drives the api::Pipeline facade and hands its guts
-// back as a RunResult. Declared in src/core/runner.h; defined here because
-// the facade sits above core in the dependency DAG.
-RunResult RunSystemOnTrace(const RunSpec& spec, const trace::Trace& trace) {
-  auto pipeline = api::RunTrace(spec, trace);
-  RunResult result;
-  result.reference = pipeline->ReleaseReferences();
-  result.system = pipeline->ReleaseSystem();
-  return result;
-}
-
-}  // namespace shedmon::core

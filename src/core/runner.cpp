@@ -6,9 +6,6 @@
 #include "src/query/queries.h"
 #include "src/util/stats.h"
 
-// RunSystemOnTrace lives in src/api/run.cpp: it is a thin wrapper over the
-// api::Pipeline facade, which sits above core in the dependency DAG.
-
 namespace shedmon::core {
 
 double DefaultMinRate(std::string_view query_name) {
@@ -43,33 +40,6 @@ double DefaultMinRate(std::string_view query_name) {
     return 0.10;
   }
   return 0.0;
-}
-
-query::AccuracyRow RunResult::Accuracy(size_t i) const {
-  return query::SummarizeAccuracy(system->query(i), *reference[i]);
-}
-
-double RunResult::MeanAccuracy(size_t i) const {
-  return std::clamp(1.0 - Accuracy(i).mean_error, 0.0, 1.0);
-}
-
-double RunResult::AverageAccuracy() const {
-  if (system->num_queries() == 0) {
-    return 0.0;
-  }
-  double sum = 0.0;
-  for (size_t i = 0; i < system->num_queries(); ++i) {
-    sum += MeanAccuracy(i);
-  }
-  return sum / static_cast<double>(system->num_queries());
-}
-
-double RunResult::MinimumAccuracy() const {
-  double min = 1.0;
-  for (size_t i = 0; i < system->num_queries(); ++i) {
-    min = std::min(min, MeanAccuracy(i));
-  }
-  return min;
 }
 
 double MeasureMeanDemand(const std::vector<std::string>& names, const trace::Trace& trace,

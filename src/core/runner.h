@@ -2,13 +2,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "src/core/system.h"
-#include "src/query/accuracy.h"
 #include "src/trace/generator.h"
 
 namespace shedmon::core {
@@ -16,43 +14,6 @@ namespace shedmon::core {
 // Minimum sampling-rate constraints (m_q) for the standard queries, taken
 // from Table 5.2 of the thesis (p2p-detector from the Ch. 6 validation).
 double DefaultMinRate(std::string_view query_name);
-
-struct RunSpec {
-  SystemConfig system;
-  OracleKind oracle = OracleKind::kModel;
-  std::vector<std::string> query_names;
-  // Optional per-query overrides; when empty, DefaultMinRate is used for m_q
-  // on the mmfs/eq strategies and 0 elsewhere.
-  std::vector<QueryConfig> query_configs;
-  bool use_default_min_rates = true;
-};
-
-// Output of a full system run plus the reference (unsampled) instances the
-// accuracy of every query is measured against.
-struct RunResult {
-  std::unique_ptr<MonitoringSystem> system;  // holds logs and shed queries
-  std::vector<std::unique_ptr<query::Query>> reference;
-
-  // Mean / stdev interval error of query i against its reference.
-  query::AccuracyRow Accuracy(size_t i) const;
-  // 1 - mean error, the "accuracy" of Ch. 5/6 plots.
-  double MeanAccuracy(size_t i) const;
-  double AverageAccuracy() const;  // across queries
-  double MinimumAccuracy() const;  // worst query
-};
-
-// Runs the configured system over the trace (and the reference instances over
-// the unsampled trace) and returns both. When spec.system.num_threads > 0 the
-// per-query pipeline stages *and* the reference instances run on an
-// exec::ThreadPool; results are bit-identical to the serial run (see
-// SystemConfig::num_threads).
-//
-// Batch-mode compatibility wrapper: since the api::Pipeline facade became
-// the supported entry point this is a thin shim over api::RunTrace, defined
-// in src/api/run.cpp (the facade sits above core in the dependency DAG).
-// Callers must link shedmon::shedmon (or shedmon::shedmon_api). New code
-// should use shedmon::PipelineBuilder directly.
-RunResult RunSystemOnTrace(const RunSpec& spec, const trace::Trace& trace);
 
 // Mean per-bin cycles demanded by full (unsampled) processing of the given
 // queries — the thesis's experimentally determined capacity C. Experiments

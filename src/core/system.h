@@ -83,7 +83,7 @@ struct SystemConfig {
   uint64_t seed = 42;
   // Worker threads for the per-bin, per-query pipeline stages (sampling,
   // query processing, post-shed re-extraction, model fits) and for the
-  // reference instances core::RunSystemOnTrace runs. 0 = serial, today's
+  // reference instances an api::Pipeline runs. 0 = serial, today's
   // single-threaded behavior. Any value yields bit-identical BinLogs and
   // accuracies under the deterministic model oracle: per-query work fans out
   // over an exec::ThreadPool while cost charges are sequenced and BinLog

@@ -35,7 +35,7 @@ struct PoolMetricsHooks {
 //    destructor; the pool is created per MonitoringSystem / per sweep, not
 //    per bin, so thread start-up cost is off the hot path.
 //  - The queue is FIFO, so same-thread submission order is preserved. No
-//    work stealing: shedmon's tasks (one per query, one per RunSpec) are
+//    work stealing: shedmon's tasks (one per query, one per grid cell) are
 //    coarse enough that a mutex-guarded deque is not a bottleneck.
 //  - The pool makes no fairness or affinity promises; determinism of results
 //    is the *callers'* job (see core::MonitoringSystem's sequenced cost
@@ -79,7 +79,7 @@ class ThreadPool {
   // caller blocks on futures without helping to drain the queue, so a worker
   // that calls ParallelFor on its own pool can deadlock (every shedmon use
   // drives a pool from the owning coordinator thread; nested fan-out — e.g.
-  // a ParallelTraceRunner cell whose RunSpec enables num_threads — creates
+  // an api::RunPipelineGrid cell whose builder enables num_threads — creates
   // its own inner pool instead).
   void ParallelFor(size_t begin, size_t end, size_t grain,
                    const std::function<void(size_t)>& body);

@@ -13,12 +13,12 @@ namespace shedmon::rt {
 
 // What to do when an ingest buffer is full. Shared by the threaded
 // BoundedQueue below and by the synchronous bounded-ingest path inside
-// api::Pipeline (which bounds its open-bin record buffer with the same
-// three policies).
+// api::Pipeline, which bounds its open-bin record buffer with the two drop
+// policies only.
 enum class OverflowPolicy : uint8_t {
-  // Producer waits for space (backpressure). At the synchronous Pipeline
-  // facade this is equivalent to unbounded buffering: Push IS the
-  // processing thread, so it can never be ahead of the consumer.
+  // Producer waits for space (backpressure). The synchronous Pipeline facade
+  // rejects it: Push IS the processing thread, so there is nothing to wait
+  // for.
   kBlock = 0,
   // The incoming item is discarded; the buffer keeps what it has.
   kDropNewest = 1,

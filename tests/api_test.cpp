@@ -16,6 +16,7 @@
 #include <string>
 #include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/api/config.h"
@@ -42,32 +43,58 @@ const trace::Trace& SharedTrace() {
   return trace;
 }
 
-// The pre-refactor core::RunSystemOnTrace, replicated verbatim (modulo the
-// serial reference helper): the golden batch path every Pipeline run must
-// reproduce bit for bit. Kept in the test so the facade can never drift from
-// the historical semantics unnoticed.
-core::RunResult GoldenRunSystemOnTrace(const core::RunSpec& spec, const trace::Trace& trace) {
-  core::RunResult result;
-  result.system =
-      std::make_unique<core::MonitoringSystem>(spec.system, core::MakeOracle(spec.oracle));
-  for (size_t i = 0; i < spec.query_names.size(); ++i) {
-    core::QueryConfig qc;
-    if (i < spec.query_configs.size()) {
-      qc = spec.query_configs[i];
-    } else if (spec.use_default_min_rates) {
-      qc.min_sampling_rate = core::DefaultMinRate(spec.query_names[i]);
+// Output of the golden batch path: the shed system plus the unsampled
+// reference instances its accuracy is measured against.
+struct GoldenRun {
+  std::unique_ptr<core::MonitoringSystem> system;
+  std::vector<std::unique_ptr<query::Query>> reference;
+
+  query::AccuracyRow Accuracy(size_t i) const {
+    return query::SummarizeAccuracy(system->query(i), *reference[i]);
+  }
+  double MeanAccuracy(size_t i) const {
+    return std::clamp(1.0 - Accuracy(i).mean_error, 0.0, 1.0);
+  }
+  double AverageAccuracy() const {
+    double sum = 0.0;
+    for (size_t i = 0; i < system->num_queries(); ++i) {
+      sum += MeanAccuracy(i);
     }
-    result.system->AddQuery(query::MakeQuery(spec.query_names[i]), qc);
+    return system->num_queries() == 0 ? 0.0 : sum / static_cast<double>(system->num_queries());
+  }
+  double MinimumAccuracy() const {
+    double min = 1.0;
+    for (size_t i = 0; i < system->num_queries(); ++i) {
+      min = std::min(min, MeanAccuracy(i));
+    }
+    return min;
+  }
+};
+
+// The pre-facade batch runner, replicated verbatim (modulo the serial
+// reference helper) for the builder defaults every caller here uses: model
+// oracle, DefaultMinRate per query. It is the golden batch path every
+// Pipeline run must reproduce bit for bit, kept in the test so the facade
+// can never drift from the historical semantics unnoticed.
+GoldenRun GoldenBatchRun(const core::SystemConfig& system, const std::vector<std::string>& names,
+                         const trace::Trace& trace) {
+  GoldenRun result;
+  result.system =
+      std::make_unique<core::MonitoringSystem>(system, core::MakeOracle(core::OracleKind::kModel));
+  for (const std::string& name : names) {
+    core::QueryConfig qc;
+    qc.min_sampling_rate = core::DefaultMinRate(name);
+    result.system->AddQuery(query::MakeQuery(name), qc);
   }
 
-  trace::Batcher batcher(trace, spec.system.time_bin_us);
+  trace::Batcher batcher(trace, system.time_bin_us);
   trace::Batch batch;
   while (batcher.Next(batch)) {
     result.system->ProcessBatch(batch);
   }
   result.system->Finish();
 
-  result.reference = query::RunReference(spec.query_names, trace, spec.system.time_bin_us);
+  result.reference = query::RunReference(names, trace, system.time_bin_us);
   return result;
 }
 
@@ -101,17 +128,18 @@ void ExpectBinLogsIdentical(const std::vector<core::BinLog>& golden,
   }
 }
 
-core::RunSpec SpecFor(const std::vector<std::string>& names, core::ShedderKind shedder,
-                      shed::StrategyKind strategy, bool custom, size_t threads) {
-  core::RunSpec spec;
-  spec.system.shedder = shedder;
-  spec.system.strategy = strategy;
-  spec.system.enable_custom_shedding = custom;
-  spec.system.num_threads = threads;
-  spec.system.cycles_per_bin =
-      0.5 * core::MeasureMeanDemand(names, SharedTrace(), core::OracleKind::kModel);
-  spec.query_names = names;
-  return spec;
+// A builder without a query roster, provisioned at K = 0.5 for `names`;
+// callers add the queries (through the builder or the built pipeline).
+api::PipelineBuilder BuilderFor(const std::vector<std::string>& names, core::ShedderKind shedder,
+                                shed::StrategyKind strategy, bool custom, size_t threads) {
+  api::PipelineBuilder builder;
+  builder.Shedder(shedder)
+      .Strategy(strategy)
+      .CustomShedding(custom)
+      .Threads(threads)
+      .CyclesPerBin(0.5 *
+                    core::MeasureMeanDemand(names, SharedTrace(), core::OracleKind::kModel));
+  return builder;
 }
 
 // ---------------------------------------------------------------------------
@@ -130,12 +158,12 @@ class PipelineGolden : public ::testing::TestWithParam<std::tuple<GoldenCase, si
 
 TEST_P(PipelineGolden, BinLogsAndAccuraciesMatchPreRefactorPath) {
   const auto& [config, threads] = GetParam();
-  const core::RunSpec spec =
-      SpecFor(config.names, config.shedder, config.strategy, config.custom, threads);
+  const api::PipelineBuilder builder =
+      BuilderFor(config.names, config.shedder, config.strategy, config.custom, threads);
 
-  const core::RunResult golden = GoldenRunSystemOnTrace(spec, SharedTrace());
+  const GoldenRun golden = GoldenBatchRun(builder.config(), config.names, SharedTrace());
 
-  auto pipeline = api::PipelineBuilder::FromRunSpec(spec).BuildUnique();
+  auto pipeline = builder.BuildUnique();
   std::vector<api::QueryHandle> handles;
   for (const auto& name : config.names) {
     handles.push_back(pipeline->AddQuery(name));
@@ -193,18 +221,22 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param));
     });
 
-// The wrapper itself (core::RunSystemOnTrace is now a shim over the facade)
-// must also match the golden path exactly.
-TEST(PipelineGoldenWrapper, RunSystemOnTraceStillMatchesGoldenPath) {
+// The one-call batch entry point (builder roster + whole trace) must also
+// match the golden path exactly.
+TEST(PipelineGoldenWrapper, RunTraceMatchesGoldenPath) {
+  const std::vector<std::string> names = {"counter", "flows"};
   for (const size_t threads : {size_t{0}, size_t{2}}) {
-    const core::RunSpec spec = SpecFor({"counter", "flows"}, core::ShedderKind::kPredictive,
-                                       shed::StrategyKind::kMmfsPkt, false, threads);
-    const core::RunResult golden = GoldenRunSystemOnTrace(spec, SharedTrace());
-    const core::RunResult wrapped = core::RunSystemOnTrace(spec, SharedTrace());
-    ExpectBinLogsIdentical(golden.system->log(), wrapped.system->log());
-    for (size_t q = 0; q < spec.query_names.size(); ++q) {
-      EXPECT_EQ(golden.Accuracy(q).mean_error, wrapped.Accuracy(q).mean_error);
-      EXPECT_EQ(golden.Accuracy(q).stdev_error, wrapped.Accuracy(q).stdev_error);
+    api::PipelineBuilder builder = BuilderFor(names, core::ShedderKind::kPredictive,
+                                              shed::StrategyKind::kMmfsPkt, false, threads);
+    const GoldenRun golden = GoldenBatchRun(builder.config(), names, SharedTrace());
+    for (const auto& name : names) {
+      builder.AddQuery(name);
+    }
+    const auto wrapped = api::RunTrace(builder, SharedTrace());
+    ExpectBinLogsIdentical(golden.system->log(), wrapped->log());
+    for (size_t q = 0; q < names.size(); ++q) {
+      EXPECT_EQ(golden.Accuracy(q).mean_error, wrapped->AccuracyAt(q).mean_error);
+      EXPECT_EQ(golden.Accuracy(q).stdev_error, wrapped->AccuracyAt(q).stdev_error);
     }
   }
 }
@@ -283,11 +315,11 @@ TEST(PipelineGoldenArrival, MidRunAddQueryMatchesManualBatchLoop) {
 // ---------------------------------------------------------------------------
 
 TEST(PipelinePush, PacketViewSpansMatchRecordPush) {
-  const core::RunSpec spec = SpecFor({"counter", "pattern-search"},
-                                     core::ShedderKind::kPredictive,
-                                     shed::StrategyKind::kMmfsPkt, false, 0);
+  const api::PipelineBuilder builder = BuilderFor({"counter", "pattern-search"},
+                                                  core::ShedderKind::kPredictive,
+                                                  shed::StrategyKind::kMmfsPkt, false, 0);
 
-  auto by_record = api::PipelineBuilder::FromRunSpec(spec).BuildUnique();
+  auto by_record = builder.BuildUnique();
   by_record->AddQuery("counter");
   by_record->AddQuery("pattern-search");
   by_record->Push(SharedTrace());
@@ -295,10 +327,10 @@ TEST(PipelinePush, PacketViewSpansMatchRecordPush) {
 
   // Same traffic, ingested as materialized Packet views batch by batch (the
   // shape a live capture path would use); payload bytes are copied.
-  auto by_view = api::PipelineBuilder::FromRunSpec(spec).BuildUnique();
+  auto by_view = builder.BuildUnique();
   by_view->AddQuery("counter");
   by_view->AddQuery("pattern-search");
-  trace::Batcher batcher(SharedTrace(), spec.system.time_bin_us);
+  trace::Batcher batcher(SharedTrace(), builder.config().time_bin_us);
   trace::Batch batch;
   while (batcher.Next(batch)) {
     by_view->Push(std::span<const net::Packet>(batch.packets));
@@ -434,7 +466,7 @@ TEST(PipelineHandles, TrackAccuracyOffSkipsReferences) {
   EXPECT_EQ(pipeline->AverageAccuracy(), 0.0);
 }
 
-TEST(PipelineHandles, UnattachedAndReleasedHandlesThrowInsteadOfCrashing) {
+TEST(PipelineHandles, UnattachedHandlesThrowInsteadOfCrashing) {
   api::QueryHandle unattached;
   EXPECT_FALSE(unattached.valid());
   EXPECT_THROW(unattached.index(), std::logic_error);
@@ -442,14 +474,6 @@ TEST(PipelineHandles, UnattachedAndReleasedHandlesThrowInsteadOfCrashing) {
   EXPECT_THROW(unattached.query(), std::logic_error);
   EXPECT_THROW(unattached.reference(), std::logic_error);
   EXPECT_THROW(unattached.Accuracy(), std::logic_error);
-
-  auto pipeline = api::PipelineBuilder().BuildUnique();
-  api::QueryHandle counter = pipeline->AddQuery("counter");
-  pipeline->Finish();
-  (void)pipeline->ReleaseSystem();
-  EXPECT_FALSE(counter.valid());
-  EXPECT_THROW(counter.query(), std::logic_error);
-  EXPECT_THROW(counter.name(), std::logic_error);
 }
 
 TEST(PipelineHandles, ZeroTimeBinIsRejectedAtBuild) {
@@ -494,18 +518,6 @@ TEST(PipelineHandles, ReAddedDetachedQueryIsChargedOnlyForNewWork) {
   pipeline->Finish();
   const double second_charge = pipeline->log()[1].per_query_cycles[back.index()];
   EXPECT_NEAR(second_charge, first_charge, 0.05 * first_charge);
-}
-
-TEST(PipelineHandles, ReleaseRequiresFinish) {
-  auto pipeline = api::PipelineBuilder().BuildUnique();
-  pipeline->AddQuery("counter");
-  EXPECT_THROW(pipeline->ReleaseSystem(), std::logic_error);
-  EXPECT_THROW(pipeline->ReleaseReferences(), std::logic_error);
-  pipeline->Finish();
-  auto references = pipeline->ReleaseReferences();
-  ASSERT_EQ(references.size(), 1u);
-  EXPECT_NE(references[0], nullptr);
-  EXPECT_NE(pipeline->ReleaseSystem(), nullptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -633,61 +645,45 @@ TEST(PipelineApi, RunPipelineGridMatchesSerialCells) {
   const std::vector<std::string> names = {"counter", "flows"};
   const double demand =
       core::MeasureMeanDemand(names, SharedTrace(), core::OracleKind::kModel);
-  const auto make_spec = [&](size_t cell) {
-    core::RunSpec spec;
-    spec.system.cycles_per_bin = (0.3 + 0.2 * static_cast<double>(cell)) * demand;
-    spec.query_names = names;
-    return spec;
+  // Cells differ in capacity, so a result landing at the wrong index shows.
+  const auto capacity = [&](size_t cell) {
+    return (0.3 + 0.2 * static_cast<double>(cell)) * demand;
   };
-  const auto serial = api::RunPipelineGrid(3, make_spec, SharedTrace(), nullptr);
+  const auto make_builder = [&](size_t cell) {
+    api::PipelineBuilder builder;
+    builder.CyclesPerBin(capacity(cell));
+    for (const auto& name : names) {
+      builder.AddQuery(name);
+    }
+    return builder;
+  };
+  const auto serial = api::RunPipelineGrid(3, make_builder, SharedTrace(), nullptr);
   exec::ThreadPool pool(3);
-  const auto parallel = api::RunPipelineGrid(3, make_spec, SharedTrace(), &pool);
+  const auto parallel = api::RunPipelineGrid(3, make_builder, SharedTrace(), &pool);
   ASSERT_EQ(serial.size(), parallel.size());
   for (size_t i = 0; i < serial.size(); ++i) {
     SCOPED_TRACE("cell " + std::to_string(i));
     ExpectBinLogsIdentical(serial[i]->log(), parallel[i]->log());
     EXPECT_EQ(serial[i]->AverageAccuracy(), parallel[i]->AverageAccuracy());
+    EXPECT_EQ(parallel[i]->system().capacity(), capacity(i));
   }
 }
 
-// ---------------------------------------------------------------------------
-// Deprecated raw-record shims: still exactly equivalent to the Packet path
-// ---------------------------------------------------------------------------
-
-// The shims stay until the next major cleanup; this test pins their semantics
-// (shim == Push(net::Packet::View(record)), record by record or as a span).
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(PipelineCompat, DeprecatedRecordShimsMatchThePacketViewPath) {
-  const core::RunSpec spec = SpecFor({"counter", "flows"}, core::ShedderKind::kPredictive,
-                                     shed::StrategyKind::kMmfsPkt, false, 0);
-
-  auto by_view = api::PipelineBuilder::FromRunSpec(spec).BuildUnique();
-  by_view->AddQuery("counter");
-  by_view->AddQuery("flows");
-  for (const net::PacketRecord& packet : SharedTrace().packets) {
-    by_view->Push(net::Packet::View(packet));
-  }
-  by_view->Finish();
-
-  auto by_record = api::PipelineBuilder::FromRunSpec(spec).BuildUnique();
-  by_record->AddQuery("counter");
-  by_record->AddQuery("flows");
-  for (const net::PacketRecord& packet : SharedTrace().packets) {
-    by_record->Push(packet);
-  }
-  by_record->Finish();
-
-  auto by_span = api::PipelineBuilder::FromRunSpec(spec).BuildUnique();
-  by_span->AddQuery("counter");
-  by_span->AddQuery("flows");
-  by_span->Push(std::span<const net::PacketRecord>(SharedTrace().packets));
-  by_span->Finish();
-
-  ExpectBinLogsIdentical(by_view->log(), by_record->log());
-  ExpectBinLogsIdentical(by_view->log(), by_span->log());
+TEST(PipelineApi, RunPipelineGridRethrowsACellsConfigError) {
+  // One invalid cell fails the whole grid with its ConfigError, on the
+  // calling thread, whether the cells run serially or on the pool.
+  const auto make_builder = [](size_t cell) {
+    api::PipelineBuilder builder;
+    builder.AddQuery("counter");
+    if (cell == 1) {
+      builder.TimeBin(0);
+    }
+    return builder;
+  };
+  EXPECT_THROW(api::RunPipelineGrid(3, make_builder, SharedTrace(), nullptr), ConfigError);
+  exec::ThreadPool pool(2);
+  EXPECT_THROW(api::RunPipelineGrid(3, make_builder, SharedTrace(), &pool), ConfigError);
 }
-#pragma GCC diagnostic pop
 
 // ---------------------------------------------------------------------------
 // Eager builder validation: Build() rejects bad configs with ConfigError
@@ -804,20 +800,57 @@ TEST(PipelineApi, FromConfigFileBuildsTheDescribedPipeline) {
 }
 
 TEST(PipelineApi, ConfigParserRejectsUnknownKeysWithTheOffendingLine) {
-  std::istringstream bad("[system]\nbogus_key = 1\n");
-  try {
-    (void)api::ParseConfig(bad, "test.ini");
-    FAIL() << "expected ConfigError";
-  } catch (const ConfigError& error) {
-    EXPECT_NE(std::string(error.what()).find("test.ini:2"), std::string::npos);
-    EXPECT_NE(std::string(error.what()).find("bogus_key"), std::string::npos);
+  // {file body, token the error must name}: unknown keys and unknown names
+  // alike fail on their own line instead of falling back to a default.
+  const std::pair<const char*, const char*> cases[] = {
+      {"[system]\nbogus_key = 1\n", "bogus_key"},
+      {"[system]\nshedder = reactve\n", "reactve"},
+      {"[system]\nstrategy = bogus\n", "bogus"},
+      {"[system]\noracle = rdtsc\n", "rdtsc"},
+      {"[predictor]\nkind = arima\n", "arima"},
+  };
+  for (const auto& [body, token] : cases) {
+    SCOPED_TRACE(body);
+    std::istringstream bad(body);
+    try {
+      (void)api::ParseConfig(bad, "test.ini");
+      FAIL() << "expected ConfigError";
+    } catch (const ConfigError& error) {
+      EXPECT_NE(std::string(error.what()).find("test.ini:2"), std::string::npos);
+      EXPECT_NE(std::string(error.what()).find(token), std::string::npos);
+    }
   }
 }
 
+// The config file and the CLI share one parser per setting: both historical
+// spellings map to the same value, anything else is a ConfigError.
+TEST(PipelineApi, NameParsersAcceptBothSpellingsAndNothingElse) {
+  EXPECT_EQ(api::ParseShedder("none"), core::ShedderKind::kNoShed);
+  EXPECT_EQ(api::ParseShedder("noshed"), core::ShedderKind::kNoShed);
+  EXPECT_EQ(api::ParseShedder("reactive"), core::ShedderKind::kReactive);
+  EXPECT_EQ(api::ParseShedder("predictive"), core::ShedderKind::kPredictive);
+  EXPECT_EQ(api::ParseStrategy("eq"), shed::StrategyKind::kEqSrates);
+  EXPECT_EQ(api::ParseStrategy("eq_srates"), shed::StrategyKind::kEqSrates);
+  EXPECT_EQ(api::ParseStrategy("cpu"), shed::StrategyKind::kMmfsCpu);
+  EXPECT_EQ(api::ParseStrategy("mmfs_cpu"), shed::StrategyKind::kMmfsCpu);
+  EXPECT_EQ(api::ParseStrategy("pkt"), shed::StrategyKind::kMmfsPkt);
+  EXPECT_EQ(api::ParseStrategy("mmfs_pkt"), shed::StrategyKind::kMmfsPkt);
+  EXPECT_EQ(api::ParseOracle("model"), core::OracleKind::kModel);
+  EXPECT_EQ(api::ParseOracle("measured"), core::OracleKind::kMeasured);
+  EXPECT_EQ(api::ParseOverflowPolicy("block"), rt::OverflowPolicy::kBlock);
+  EXPECT_EQ(api::ParseOverflowPolicy("drop-newest"), rt::OverflowPolicy::kDropNewest);
+  EXPECT_EQ(api::ParseOverflowPolicy("drop-oldest"), rt::OverflowPolicy::kDropOldest);
+  EXPECT_THROW(api::ParseShedder("reactve"), ConfigError);
+  EXPECT_THROW(api::ParseStrategy("bogus"), ConfigError);
+  EXPECT_THROW(api::ParseOracle(""), ConfigError);
+  EXPECT_THROW(api::ParseOverflowPolicy("drop_newest"), ConfigError);
+}
+
 TEST(PipelineApi, StatsSummarizesTheRunFromRunningTallies) {
-  const core::RunSpec spec = SpecFor({"counter", "flows"}, core::ShedderKind::kPredictive,
-                                     shed::StrategyKind::kMmfsPkt, false, 0);
-  auto pipeline = api::PipelineBuilder::FromRunSpec(spec).BuildUnique();
+  const api::PipelineBuilder builder = BuilderFor({"counter", "flows"},
+                                                  core::ShedderKind::kPredictive,
+                                                  shed::StrategyKind::kMmfsPkt, false, 0);
+  auto pipeline = builder.BuildUnique();
   pipeline->AddQuery("counter");
   pipeline->AddQuery("flows");
   pipeline->Push(SharedTrace());
@@ -828,7 +861,7 @@ TEST(PipelineApi, StatsSummarizesTheRunFromRunningTallies) {
   EXPECT_EQ(stats.queries, 2u);
   EXPECT_EQ(stats.packets, pipeline->total_packets());
   EXPECT_EQ(stats.dropped, pipeline->total_dropped());
-  EXPECT_EQ(stats.capacity, spec.system.cycles_per_bin);
+  EXPECT_EQ(stats.capacity, builder.config().cycles_per_bin);
 
   const auto& log = pipeline->log();
   size_t overload = 0;
@@ -858,9 +891,10 @@ const obs::MetricSample* FindSample(const obs::MetricsSnapshot& snapshot,
 }
 
 TEST(PipelineMetrics, RegistryMirrorsTheBinLogTallies) {
-  const core::RunSpec spec = SpecFor({"counter", "flows"}, core::ShedderKind::kPredictive,
-                                     shed::StrategyKind::kMmfsPkt, false, 0);
-  auto pipeline = api::PipelineBuilder::FromRunSpec(spec).BuildUnique();
+  const api::PipelineBuilder builder = BuilderFor({"counter", "flows"},
+                                                  core::ShedderKind::kPredictive,
+                                                  shed::StrategyKind::kMmfsPkt, false, 0);
+  auto pipeline = builder.BuildUnique();
   pipeline->AddQuery("counter");
   pipeline->AddQuery("flows");
   pipeline->Push(SharedTrace());
@@ -891,7 +925,7 @@ TEST(PipelineMetrics, RegistryMirrorsTheBinLogTallies) {
   EXPECT_EQ(over->value, static_cast<double>(overload));
   const obs::MetricSample* capacity = FindSample(snapshot, "shedmon_capacity_cycles");
   ASSERT_NE(capacity, nullptr);
-  EXPECT_EQ(capacity->value, spec.system.cycles_per_bin);
+  EXPECT_EQ(capacity->value, builder.config().cycles_per_bin);
 
   // Per-query series carry the query name as a label; the sampling-rate gauge
   // holds the last bin's applied rate.
@@ -939,18 +973,18 @@ TEST(PipelineSnapshot, RestoreThenReplayReproducesTheUninterruptedRun) {
   constexpr uint64_t kCutUs = 2'000'000;  // bin 20 = interval boundary (10-bin intervals)
   for (const size_t threads : {size_t{0}, size_t{2}}) {
     SCOPED_TRACE("threads " + std::to_string(threads));
-    const core::RunSpec spec =
-        SpecFor({"counter", "flows", "top-k"}, core::ShedderKind::kPredictive,
-                shed::StrategyKind::kMmfsPkt, false, threads);
+    const api::PipelineBuilder builder =
+        BuilderFor({"counter", "flows", "top-k"}, core::ShedderKind::kPredictive,
+                   shed::StrategyKind::kMmfsPkt, false, threads);
 
-    auto full = api::PipelineBuilder::FromRunSpec(spec).BuildUnique();
+    auto full = builder.BuildUnique();
     for (const char* name : {"counter", "flows", "top-k"}) {
       full->AddQuery(name);
     }
     full->Push(SharedTrace());
     full->Finish();
 
-    auto first = api::PipelineBuilder::FromRunSpec(spec).BuildUnique();
+    auto first = builder.BuildUnique();
     for (const char* name : {"counter", "flows", "top-k"}) {
       first->AddQuery(name);
     }
@@ -988,9 +1022,10 @@ TEST(PipelineSnapshot, RestoreThenReplayReproducesTheUninterruptedRun) {
 }
 
 TEST(PipelineSnapshot, SnapshotRestoreSnapshotIsByteIdentical) {
-  const core::RunSpec spec = SpecFor({"counter", "flows"}, core::ShedderKind::kPredictive,
-                                     shed::StrategyKind::kMmfsPkt, false, 0);
-  auto pipeline = api::PipelineBuilder::FromRunSpec(spec).BuildUnique();
+  const api::PipelineBuilder builder = BuilderFor({"counter", "flows"},
+                                                  core::ShedderKind::kPredictive,
+                                                  shed::StrategyKind::kMmfsPkt, false, 0);
+  auto pipeline = builder.BuildUnique();
   pipeline->AddQuery("counter");
   pipeline->AddQuery("flows");
   for (const net::PacketRecord& packet : SharedTrace().packets) {
@@ -1094,9 +1129,9 @@ TEST(PipelineSnapshot, PathSnapshotIsAtomicAndRestorable) {
 
 TEST(PipelineDeterminism, ScrapingUnderLoadNeverPerturbsResults) {
   const std::vector<std::string> names = {"counter", "flows", "top-k"};
-  const core::RunSpec golden_spec = SpecFor(names, core::ShedderKind::kPredictive,
-                                            shed::StrategyKind::kMmfsPkt, false, 0);
-  const core::RunResult golden = GoldenRunSystemOnTrace(golden_spec, SharedTrace());
+  const api::PipelineBuilder golden_builder =
+      BuilderFor(names, core::ShedderKind::kPredictive, shed::StrategyKind::kMmfsPkt, false, 0);
+  const GoldenRun golden = GoldenBatchRun(golden_builder.config(), names, SharedTrace());
 
   for (const size_t threads : {size_t{0}, size_t{2}, size_t{4}}) {
     for (const size_t shards : {size_t{1}, size_t{8}}) {
@@ -1105,10 +1140,9 @@ TEST(PipelineDeterminism, ScrapingUnderLoadNeverPerturbsResults) {
       }
       SCOPED_TRACE("threads " + std::to_string(threads) + " shards " +
                    std::to_string(shards));
-      core::RunSpec spec = SpecFor(names, core::ShedderKind::kPredictive,
-                                   shed::StrategyKind::kMmfsPkt, false, threads);
-      spec.system.max_shards_per_query = shards;
-      auto pipeline = api::PipelineBuilder::FromRunSpec(spec).BuildUnique();
+      api::PipelineBuilder builder = BuilderFor(names, core::ShedderKind::kPredictive,
+                                                shed::StrategyKind::kMmfsPkt, false, threads);
+      auto pipeline = builder.MaxShardsPerQuery(shards).BuildUnique();
       std::vector<api::QueryHandle> handles;
       for (const auto& name : names) {
         handles.push_back(pipeline->AddQuery(name));

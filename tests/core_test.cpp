@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <memory>
+#include <vector>
 
+#include "src/api/run.h"
 #include "src/core/cost.h"
 #include "src/core/runner.h"
 #include "src/core/system.h"
@@ -163,15 +166,25 @@ TEST(MeasuredOracle, ChargesPositiveCyclesForRealWork) {
 
 // ------------------------------------------------------- system behaviour --
 
-RunSpec BaseSpec(ShedderKind shedder, double capacity) {
-  RunSpec spec;
-  spec.system.shedder = shedder;
-  spec.system.strategy = shed::StrategyKind::kEqSrates;
-  spec.system.cycles_per_bin = capacity;
-  spec.oracle = OracleKind::kModel;
-  spec.query_names = {"counter", "flows", "application"};
-  spec.use_default_min_rates = false;  // pure Ch. 4 setting: no floors
-  return spec;
+// counter, flows, application under eq_srates with no rate floors (the pure
+// Ch. 4 setting), unless `floors` gives one QueryConfig per query.
+api::PipelineBuilder BaseBuilder(ShedderKind shedder, double capacity,
+                                 const std::vector<QueryConfig>& floors = {}) {
+  api::PipelineBuilder builder;
+  builder.Shedder(shedder)
+      .Strategy(shed::StrategyKind::kEqSrates)
+      .CyclesPerBin(capacity)
+      .Oracle(OracleKind::kModel)
+      .DefaultMinRates(false);
+  const char* names[] = {"counter", "flows", "application"};
+  for (size_t i = 0; i < std::size(names); ++i) {
+    if (floors.empty()) {
+      builder.AddQuery(names[i]);
+    } else {
+      builder.AddQuery(names[i], floors[i]);
+    }
+  }
+  return builder;
 }
 
 TEST(System, ReferenceDemandIsPositive) {
@@ -186,11 +199,11 @@ TEST(System, PredictiveShedsWithoutUncontrolledDrops) {
   const double demand =
       MeasureMeanDemand({"counter", "flows", "application"}, t, OracleKind::kModel);
   // 2x overload (K = 0.5).
-  auto result = RunSystemOnTrace(BaseSpec(ShedderKind::kPredictive, 0.5 * demand), t);
-  EXPECT_EQ(result.system->total_dropped(), 0u);
+  auto result = api::RunTrace(BaseBuilder(ShedderKind::kPredictive, 0.5 * demand), t);
+  EXPECT_EQ(result->total_dropped(), 0u);
   // The system must actually have shed load.
   bool shed_something = false;
-  for (const auto& bin : result.system->log()) {
+  for (const auto& bin : result->log()) {
     for (const double r : bin.rate) {
       if (r < 0.999) {
         shed_something = true;
@@ -204,36 +217,36 @@ TEST(System, NoShedOverloadCausesUncontrolledDrops) {
   const auto t = trace::TraceGenerator(TestSpec()).Generate();
   const double demand =
       MeasureMeanDemand({"counter", "flows", "application"}, t, OracleKind::kModel);
-  auto result = RunSystemOnTrace(BaseSpec(ShedderKind::kNoShed, 0.5 * demand), t);
-  EXPECT_GT(result.system->total_dropped(), result.system->total_packets() / 10);
+  auto result = api::RunTrace(BaseBuilder(ShedderKind::kNoShed, 0.5 * demand), t);
+  EXPECT_GT(result->total_dropped(), result->total_packets() / 10);
 }
 
 TEST(System, PredictiveBeatsNoShedOnAccuracy) {
   const auto t = trace::TraceGenerator(TestSpec()).Generate();
   const double demand =
       MeasureMeanDemand({"counter", "flows", "application"}, t, OracleKind::kModel);
-  auto predictive = RunSystemOnTrace(BaseSpec(ShedderKind::kPredictive, 0.5 * demand), t);
-  auto noshed = RunSystemOnTrace(BaseSpec(ShedderKind::kNoShed, 0.5 * demand), t);
-  EXPECT_GT(predictive.AverageAccuracy(), noshed.AverageAccuracy() + 0.05);
+  auto predictive = api::RunTrace(BaseBuilder(ShedderKind::kPredictive, 0.5 * demand), t);
+  auto noshed = api::RunTrace(BaseBuilder(ShedderKind::kNoShed, 0.5 * demand), t);
+  EXPECT_GT(predictive->AverageAccuracy(), noshed->AverageAccuracy() + 0.05);
   // The headline Ch. 4 claim: errors stay small under 2x overload. (The
   // first interval carries cold-start probing error, and the prediction
   // subsystem overhead eats into the query budget, hence the margin.)
-  EXPECT_GT(predictive.AverageAccuracy(), 0.85);
+  EXPECT_GT(predictive->AverageAccuracy(), 0.85);
 }
 
 TEST(System, ReactiveSitsBetweenPredictiveAndNoShed) {
   const auto t = trace::TraceGenerator(TestSpec()).Generate();
   const double demand =
       MeasureMeanDemand({"counter", "flows", "application"}, t, OracleKind::kModel);
-  auto predictive = RunSystemOnTrace(BaseSpec(ShedderKind::kPredictive, 0.5 * demand), t);
-  auto reactive = RunSystemOnTrace(BaseSpec(ShedderKind::kReactive, 0.5 * demand), t);
-  auto noshed = RunSystemOnTrace(BaseSpec(ShedderKind::kNoShed, 0.5 * demand), t);
+  auto predictive = api::RunTrace(BaseBuilder(ShedderKind::kPredictive, 0.5 * demand), t);
+  auto reactive = api::RunTrace(BaseBuilder(ShedderKind::kReactive, 0.5 * demand), t);
+  auto noshed = api::RunTrace(BaseBuilder(ShedderKind::kNoShed, 0.5 * demand), t);
   // Reactive controls loss far better than no shedding at all, but cannot
   // beat the predictive system by a meaningful margin and remains the only
   // sampled system with uncontrolled drops (Fig. 4.2).
-  EXPECT_GE(predictive.AverageAccuracy() + 0.08, reactive.AverageAccuracy());
-  EXPECT_GT(reactive.AverageAccuracy(), noshed.AverageAccuracy() - 0.02);
-  EXPECT_EQ(predictive.system->total_dropped(), 0u);
+  EXPECT_GE(predictive->AverageAccuracy() + 0.08, reactive->AverageAccuracy());
+  EXPECT_GT(reactive->AverageAccuracy(), noshed->AverageAccuracy() - 0.02);
+  EXPECT_EQ(predictive->total_dropped(), 0u);
 }
 
 TEST(System, NoOverloadMeansNoShedding) {
@@ -242,11 +255,11 @@ TEST(System, NoOverloadMeansNoShedding) {
       MeasureMeanDemand({"counter", "flows", "application"}, t, OracleKind::kModel);
   // Capacity = 3x demand: no drops, and near-perfect accuracy outside the
   // cold-start probe bins.
-  auto result = RunSystemOnTrace(BaseSpec(ShedderKind::kPredictive, 3.0 * demand), t);
-  EXPECT_EQ(result.system->total_dropped(), 0u);
-  EXPECT_GT(result.AverageAccuracy(), 0.97);
+  auto result = api::RunTrace(BaseBuilder(ShedderKind::kPredictive, 3.0 * demand), t);
+  EXPECT_EQ(result->total_dropped(), 0u);
+  EXPECT_GT(result->AverageAccuracy(), 0.97);
   // After warm-up every batch runs at full rate.
-  const auto& log = result.system->log();
+  const auto& log = result->log();
   for (size_t i = 10; i < log.size(); ++i) {
     for (const double r : log[i].rate) {
       EXPECT_GT(r, 0.999);
@@ -259,11 +272,11 @@ TEST(System, BudgetRespectedUpToBufferSlack) {
   const double demand =
       MeasureMeanDemand({"counter", "flows", "application"}, t, OracleKind::kModel);
   const double capacity = 0.5 * demand;
-  auto result = RunSystemOnTrace(BaseSpec(ShedderKind::kPredictive, capacity), t);
+  auto result = api::RunTrace(BaseBuilder(ShedderKind::kPredictive, capacity), t);
   // Mean total spend per bin must not exceed capacity (stability in the
   // steady state, §4.1); individual bins may use the buffer slack.
   util::RunningStats spend;
-  for (const auto& bin : result.system->log()) {
+  for (const auto& bin : result->log()) {
     spend.Add(bin.query_cycles + bin.ps_cycles + bin.ls_cycles + bin.como_cycles);
   }
   EXPECT_LT(spend.mean(), capacity * 1.10);
@@ -272,16 +285,16 @@ TEST(System, BudgetRespectedUpToBufferSlack) {
 TEST(System, LogsHaveOneEntryPerBin) {
   const auto t = trace::TraceGenerator(TestSpec()).Generate();
   trace::Batcher batcher(t, 100'000);
-  auto result = RunSystemOnTrace(BaseSpec(ShedderKind::kPredictive, 1e9), t);
-  EXPECT_EQ(result.system->log().size(), batcher.num_bins());
+  auto result = api::RunTrace(BaseBuilder(ShedderKind::kPredictive, 1e9), t);
+  EXPECT_EQ(result->log().size(), batcher.num_bins());
 }
 
 TEST(System, QueriesCompleteIntervals) {
   const auto t = trace::TraceGenerator(TestSpec()).Generate();
-  auto result = RunSystemOnTrace(BaseSpec(ShedderKind::kPredictive, 1e9), t);
-  for (size_t q = 0; q < result.system->num_queries(); ++q) {
+  auto result = api::RunTrace(BaseBuilder(ShedderKind::kPredictive, 1e9), t);
+  for (size_t q = 0; q < result->num_queries(); ++q) {
     // 8 s trace, 1 s intervals.
-    EXPECT_GE(result.system->query(q).completed_intervals(), 7u);
+    EXPECT_GE(result->system().query(q).completed_intervals(), 7u);
   }
 }
 
@@ -289,13 +302,12 @@ TEST(System, MinRateFloorsAreHonoredByMmfs) {
   const auto t = trace::TraceGenerator(TestSpec()).Generate();
   const double demand =
       MeasureMeanDemand({"counter", "flows", "application"}, t, OracleKind::kModel);
-  RunSpec spec = BaseSpec(ShedderKind::kPredictive, 0.5 * demand);
-  spec.system.strategy = shed::StrategyKind::kMmfsPkt;
-  spec.query_configs = {{0.02, true}, {0.3, true}, {0.02, true}};
-  spec.use_default_min_rates = false;
-  auto result = RunSystemOnTrace(spec, t);
+  api::PipelineBuilder builder = BaseBuilder(ShedderKind::kPredictive, 0.5 * demand,
+                                             {{0.02, true}, {0.3, true}, {0.02, true}});
+  builder.Strategy(shed::StrategyKind::kMmfsPkt);
+  auto result = api::RunTrace(builder, t);
   // Whenever the flows query (index 1) ran, its rate was >= 0.3.
-  for (const auto& bin : result.system->log()) {
+  for (const auto& bin : result->log()) {
     if (bin.batch_dropped || bin.rate.size() < 2) {
       continue;
     }
@@ -389,12 +401,12 @@ TEST(Runner, DefaultMinRatesMatchTable52) {
 
 TEST(Runner, AccuracySummaryIsConsistent) {
   const auto t = trace::TraceGenerator(TestSpec()).Generate();
-  auto result = RunSystemOnTrace(BaseSpec(ShedderKind::kPredictive, 1e9), t);
-  for (size_t q = 0; q < result.system->num_queries(); ++q) {
-    const auto row = result.Accuracy(q);
+  auto result = api::RunTrace(BaseBuilder(ShedderKind::kPredictive, 1e9), t);
+  for (size_t q = 0; q < result->num_queries(); ++q) {
+    const auto row = result->AccuracyAt(q);
     EXPECT_GE(row.mean_error, 0.0);
     EXPECT_LE(row.mean_error, 1.0);
-    EXPECT_NEAR(result.MeanAccuracy(q), 1.0 - row.mean_error, 1e-12);
+    EXPECT_NEAR(result->MeanAccuracyAt(q), 1.0 - row.mean_error, 1e-12);
   }
 }
 

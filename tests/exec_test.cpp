@@ -18,8 +18,8 @@
 #include <vector>
 
 #include "src/api/pipeline.h"
+#include "src/api/run.h"
 #include "src/core/runner.h"
-#include "src/exec/parallel_trace_runner.h"
 #include "src/exec/query_executor.h"
 #include "src/exec/thread_pool.h"
 #include "src/query/queries.h"
@@ -320,29 +320,31 @@ struct EquivalenceCase {
   bool custom_shedding = false;
 };
 
-core::RunSpec EquivalenceSpec(const EquivalenceCase& c) {
-  core::RunSpec spec;
-  spec.system.shedder = c.shedder;
-  spec.system.strategy = c.strategy;
-  spec.system.cycles_per_bin = std::max(1.0, EquivalenceDemand() * (1.0 - c.k));
-  spec.system.enable_custom_shedding = c.custom_shedding;
-  spec.oracle = core::OracleKind::kModel;
-  spec.query_names = EquivalenceQueries();
-  return spec;
+api::PipelineBuilder EquivalenceBuilder(const EquivalenceCase& c) {
+  api::PipelineBuilder builder;
+  builder.Shedder(c.shedder)
+      .Strategy(c.strategy)
+      .CyclesPerBin(std::max(1.0, EquivalenceDemand() * (1.0 - c.k)))
+      .CustomShedding(c.custom_shedding)
+      .Oracle(core::OracleKind::kModel);
+  for (const auto& name : EquivalenceQueries()) {
+    builder.AddQuery(name);
+  }
+  return builder;
 }
 
 // One serial (threads 0, shards 1) golden run per case, shared across the
 // (threads x shards) grid so the sweep stays fast.
-const core::RunResult& SerialBaseline(const EquivalenceCase& c) {
-  static std::map<std::string, core::RunResult>& cache =
-      *new std::map<std::string, core::RunResult>();
+const api::Pipeline& SerialBaseline(const EquivalenceCase& c) {
+  static std::map<std::string, std::unique_ptr<api::Pipeline>>& cache =
+      *new std::map<std::string, std::unique_ptr<api::Pipeline>>();
   auto it = cache.find(c.label);
   if (it == cache.end()) {
-    core::RunSpec spec = EquivalenceSpec(c);
-    spec.system.num_threads = 0;
-    it = cache.emplace(c.label, RunSystemOnTrace(spec, EquivalenceTrace())).first;
+    api::PipelineBuilder builder = EquivalenceBuilder(c);
+    builder.Threads(0);
+    it = cache.emplace(c.label, api::RunTrace(builder, EquivalenceTrace())).first;
   }
-  return it->second;
+  return *it->second;
 }
 
 class ParallelEquivalence
@@ -350,29 +352,28 @@ class ParallelEquivalence
 
 TEST_P(ParallelEquivalence, BinLogsAndAccuraciesBitIdenticalToSerial) {
   const auto& [c, threads, shards] = GetParam();
-  core::RunSpec spec = EquivalenceSpec(c);
-  spec.system.num_threads = threads;
-  spec.system.max_shards_per_query = shards;
+  api::PipelineBuilder builder = EquivalenceBuilder(c);
+  builder.Threads(threads).MaxShardsPerQuery(shards);
   if (threads == 0 && shards > 1) {
     // Shards without a worker pool used to be silently inert; the eager
     // builder validation now rejects the combination outright.
-    EXPECT_THROW(RunSystemOnTrace(spec, EquivalenceTrace()), shedmon::ConfigError);
+    EXPECT_THROW(api::RunTrace(builder, EquivalenceTrace()), shedmon::ConfigError);
     return;
   }
   const auto& serial = SerialBaseline(c);
-  const auto parallel = RunSystemOnTrace(spec, EquivalenceTrace());
+  const auto parallel = api::RunTrace(builder, EquivalenceTrace());
 
-  EXPECT_EQ(serial.system->total_packets(), parallel.system->total_packets());
-  EXPECT_EQ(serial.system->total_dropped(), parallel.system->total_dropped());
-  ExpectBinLogsIdentical(serial.system->log(), parallel.system->log());
-  ASSERT_EQ(serial.system->num_queries(), parallel.system->num_queries());
-  for (size_t q = 0; q < serial.system->num_queries(); ++q) {
+  EXPECT_EQ(serial.total_packets(), parallel->total_packets());
+  EXPECT_EQ(serial.total_dropped(), parallel->total_dropped());
+  ExpectBinLogsIdentical(serial.log(), parallel->log());
+  ASSERT_EQ(serial.num_queries(), parallel->num_queries());
+  for (size_t q = 0; q < serial.num_queries(); ++q) {
     SCOPED_TRACE("query " + std::to_string(q));
-    const auto sa = serial.Accuracy(q);
-    const auto pa = parallel.Accuracy(q);
+    const auto sa = serial.AccuracyAt(q);
+    const auto pa = parallel->AccuracyAt(q);
     EXPECT_EQ(sa.mean_error, pa.mean_error);
     EXPECT_EQ(sa.stdev_error, pa.stdev_error);
-    EXPECT_EQ(serial.MeanAccuracy(q), parallel.MeanAccuracy(q));
+    EXPECT_EQ(serial.MeanAccuracyAt(q), parallel->MeanAccuracyAt(q));
   }
 }
 
@@ -524,54 +525,6 @@ TEST(ShardedDeterminism, MeasuredOracleToleranceBandSmoke) {
     const double accuracy = pipeline->MeanAccuracyAt(q);
     EXPECT_GE(accuracy, 0.0) << "query " << q;
     EXPECT_LE(accuracy, 1.0) << "query " << q;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// ParallelTraceRunner
-// ---------------------------------------------------------------------------
-
-TEST(ParallelTraceRunnerTest, RunAllMatchesIndividualSerialRuns) {
-  std::vector<core::RunSpec> specs;
-  for (const double k : {0.0, 0.4, 0.8}) {
-    core::RunSpec spec;
-    spec.system.cycles_per_bin = std::max(1.0, EquivalenceDemand() * (1.0 - k));
-    spec.oracle = core::OracleKind::kModel;
-    spec.query_names = EquivalenceQueries();
-    specs.push_back(spec);
-  }
-
-  exec::ThreadPool pool(3);
-  const auto parallel = exec::ParallelTraceRunner(&pool).RunAll(specs, EquivalenceTrace());
-  const auto serial = exec::ParallelTraceRunner(nullptr).RunAll(specs, EquivalenceTrace());
-
-  ASSERT_EQ(parallel.size(), specs.size());
-  for (size_t i = 0; i < specs.size(); ++i) {
-    SCOPED_TRACE("spec " + std::to_string(i));
-    ExpectBinLogsIdentical(serial[i].system->log(), parallel[i].system->log());
-    EXPECT_EQ(serial[i].AverageAccuracy(), parallel[i].AverageAccuracy());
-    EXPECT_EQ(serial[i].MinimumAccuracy(), parallel[i].MinimumAccuracy());
-  }
-}
-
-TEST(ParallelTraceRunnerTest, RunGridMapsCellIndexToResultIndex) {
-  exec::ThreadPool pool(2);
-  const auto results = exec::ParallelTraceRunner(&pool).RunGrid(
-      4,
-      [&](size_t cell) {
-        core::RunSpec spec;
-        // Distinguish cells by capacity so the mapping is observable.
-        spec.system.cycles_per_bin = EquivalenceDemand() * (1.0 + static_cast<double>(cell));
-        spec.oracle = core::OracleKind::kModel;
-        spec.query_names = {"counter"};
-        return spec;
-      },
-      EquivalenceTrace());
-  ASSERT_EQ(results.size(), 4u);
-  for (size_t cell = 0; cell < results.size(); ++cell) {
-    EXPECT_EQ(results[cell].system->capacity(),
-              EquivalenceDemand() * (1.0 + static_cast<double>(cell)))
-        << "cell " << cell;
   }
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "src/api/run.h"
 #include "src/core/runner.h"
 #include "src/query/queries.h"
 #include "src/trace/anomaly.h"
@@ -12,8 +13,6 @@ namespace {
 
 using core::MeasureMeanDemand;
 using core::OracleKind;
-using core::RunSpec;
-using core::RunSystemOnTrace;
 using core::ShedderKind;
 
 trace::Trace IntegrationTrace() {
@@ -26,6 +25,20 @@ trace::Trace IntegrationTrace() {
   return trace::TraceGenerator(spec).Generate();
 }
 
+// Predictive shedding over `names` at the given capacity, no rate floors.
+api::PipelineBuilder BuilderFor(const std::vector<std::string>& names, double capacity,
+                                OracleKind oracle = OracleKind::kModel) {
+  api::PipelineBuilder builder;
+  builder.Shedder(ShedderKind::kPredictive)
+      .CyclesPerBin(capacity)
+      .Oracle(oracle)
+      .DefaultMinRates(false);
+  for (const auto& name : names) {
+    builder.AddQuery(name);
+  }
+  return builder;
+}
+
 const std::vector<std::string> kSeven = {"application", "counter",        "flows",
                                          "high-watermark", "pattern-search", "top-k",
                                          "trace"};
@@ -36,16 +49,11 @@ TEST(Integration, SevenQueriesUnderTwoTimesOverload) {
   const auto t = IntegrationTrace();
   const double demand = MeasureMeanDemand(kSeven, t, OracleKind::kModel);
 
-  RunSpec spec;
-  spec.system.shedder = ShedderKind::kPredictive;
-  spec.system.strategy = shed::StrategyKind::kEqSrates;
-  spec.system.cycles_per_bin = 0.5 * demand;
-  spec.oracle = OracleKind::kModel;
-  spec.query_names = kSeven;
-  spec.use_default_min_rates = false;
-  auto result = RunSystemOnTrace(spec, t);
+  api::PipelineBuilder builder = BuilderFor(kSeven, 0.5 * demand);
+  builder.Strategy(shed::StrategyKind::kEqSrates);
+  auto result = api::RunTrace(builder, t);
 
-  EXPECT_EQ(result.system->total_dropped(), 0u);
+  EXPECT_EQ(result->total_dropped(), 0u);
   // Scalable-metric queries stay accurate under 2x overload.
   for (size_t q = 0; q < kSeven.size(); ++q) {
     const auto& name = kSeven[q];
@@ -56,7 +64,7 @@ TEST(Integration, SevenQueriesUnderTwoTimesOverload) {
     // upward bias; the thesis likewise reports it as its least accurate
     // scalable query (Table 4.1).
     const double bound = name == "high-watermark" ? 0.22 : 0.12;
-    EXPECT_LT(result.Accuracy(q).mean_error, bound) << name;
+    EXPECT_LT(result->AccuracyAt(q).mean_error, bound) << name;
   }
 }
 
@@ -65,24 +73,19 @@ TEST(Integration, MmfsPktRaisesWorstQueryAccuracy) {
   const std::vector<std::string> names = {"counter", "flows", "p2p-detector"};
   const double demand = MeasureMeanDemand(names, t, OracleKind::kModel);
 
-  RunSpec eq;
-  eq.system.shedder = ShedderKind::kPredictive;
-  eq.system.strategy = shed::StrategyKind::kEqSrates;
-  eq.system.cycles_per_bin = 0.4 * demand;
-  eq.oracle = OracleKind::kModel;
-  eq.query_names = names;
-  eq.use_default_min_rates = false;
+  api::PipelineBuilder eq = BuilderFor(names, 0.4 * demand);
+  eq.Strategy(shed::StrategyKind::kEqSrates);
 
-  RunSpec mmfs = eq;
-  mmfs.system.strategy = shed::StrategyKind::kMmfsPkt;
+  api::PipelineBuilder mmfs = eq;
+  mmfs.Strategy(shed::StrategyKind::kMmfsPkt);
 
-  auto r_eq = RunSystemOnTrace(eq, t);
-  auto r_mmfs = RunSystemOnTrace(mmfs, t);
+  auto r_eq = api::RunTrace(eq, t);
+  auto r_mmfs = api::RunTrace(mmfs, t);
   // Both run stably without uncontrolled loss.
-  EXPECT_EQ(r_eq.system->total_dropped(), 0u);
-  EXPECT_EQ(r_mmfs.system->total_dropped(), 0u);
+  EXPECT_EQ(r_eq->total_dropped(), 0u);
+  EXPECT_EQ(r_mmfs->total_dropped(), 0u);
   // mmfs_pkt cannot be much worse on the minimum and is typically better.
-  EXPECT_GE(r_mmfs.MinimumAccuracy() + 0.05, r_eq.MinimumAccuracy());
+  EXPECT_GE(r_mmfs->MinimumAccuracy() + 0.05, r_eq->MinimumAccuracy());
 }
 
 // §4.5.5-style anomaly robustness: a spoofed SYN flood multiplies the flows
@@ -99,16 +102,10 @@ TEST(Integration, SynFloodFlowsQueryStaysAccurate) {
 
   const std::vector<std::string> names = {"flows"};
   const double demand = MeasureMeanDemand(names, t, OracleKind::kModel);
-  RunSpec spec;
-  spec.system.shedder = ShedderKind::kPredictive;
-  spec.system.cycles_per_bin = 0.6 * demand;
-  spec.oracle = OracleKind::kModel;
-  spec.query_names = names;
-  spec.use_default_min_rates = false;
-  auto result = RunSystemOnTrace(spec, t);
+  auto result = api::RunTrace(BuilderFor(names, 0.6 * demand), t);
 
-  EXPECT_EQ(result.system->total_dropped(), 0u);
-  EXPECT_LT(result.Accuracy(0).mean_error, 0.10);
+  EXPECT_EQ(result->total_dropped(), 0u);
+  EXPECT_LT(result->AccuracyAt(0).mean_error, 0.10);
 }
 
 // The same scenario without load shedding loses batches wholesale and the
@@ -123,16 +120,12 @@ TEST(Integration, SynFloodWithoutSheddingFails) {
 
   const std::vector<std::string> names = {"flows"};
   const double demand = MeasureMeanDemand(names, t, OracleKind::kModel);
-  RunSpec spec;
-  spec.system.shedder = ShedderKind::kNoShed;
-  spec.system.cycles_per_bin = 0.6 * demand;
-  spec.oracle = OracleKind::kModel;
-  spec.query_names = names;
-  spec.use_default_min_rates = false;
-  auto result = RunSystemOnTrace(spec, t);
+  api::PipelineBuilder builder = BuilderFor(names, 0.6 * demand);
+  builder.Shedder(ShedderKind::kNoShed);
+  auto result = api::RunTrace(builder, t);
 
-  EXPECT_GT(result.system->total_dropped(), 0u);
-  EXPECT_GT(result.Accuracy(0).mean_error, 0.15);
+  EXPECT_GT(result->total_dropped(), 0u);
+  EXPECT_GT(result->AccuracyAt(0).mean_error, 0.15);
 }
 
 // Custom shedding end-to-end: the p2p-detector's own method beats uniform
@@ -142,20 +135,15 @@ TEST(Integration, CustomSheddingBeatsPacketSamplingForP2p) {
   const std::vector<std::string> names = {"p2p-detector", "pattern-search"};
   const double demand = MeasureMeanDemand(names, t, OracleKind::kModel);
 
-  RunSpec base;
-  base.system.shedder = ShedderKind::kPredictive;
-  base.system.strategy = shed::StrategyKind::kMmfsPkt;
-  base.system.cycles_per_bin = 0.45 * demand;
-  base.oracle = OracleKind::kModel;
-  base.query_names = names;
-  base.use_default_min_rates = false;
+  api::PipelineBuilder base = BuilderFor(names, 0.45 * demand);
+  base.Strategy(shed::StrategyKind::kMmfsPkt);
 
-  RunSpec custom = base;
-  custom.system.enable_custom_shedding = true;
+  api::PipelineBuilder custom = base;
+  custom.CustomShedding(true);
 
-  auto r_plain = RunSystemOnTrace(base, t);
-  auto r_custom = RunSystemOnTrace(custom, t);
-  EXPECT_GT(r_custom.MeanAccuracy(0) + 0.02, r_plain.MeanAccuracy(0));
+  auto r_plain = api::RunTrace(base, t);
+  auto r_custom = api::RunTrace(custom, t);
+  EXPECT_GT(r_custom->MeanAccuracyAt(0) + 0.02, r_plain->MeanAccuracyAt(0));
 }
 
 // Smoke test with the measured (rdtsc) oracle: real cycles, real queries.
@@ -185,17 +173,11 @@ TEST(Integration, MeasuredOracleSmokeTest) {
     const double demand = MeasureMeanDemand(names, t, OracleKind::kMeasured);
     ASSERT_GT(demand, 0.0);
 
-    RunSpec spec;
-    spec.system.shedder = ShedderKind::kPredictive;
-    spec.system.cycles_per_bin = 0.6 * demand;
-    spec.oracle = OracleKind::kMeasured;
-    spec.query_names = names;
-    spec.use_default_min_rates = false;
-    auto result = RunSystemOnTrace(spec, t);
-    ASSERT_EQ(result.system->log().size(), 40u);
-    accuracy = result.AverageAccuracy();
-    dropped = result.system->total_dropped();
-    packets = result.system->total_packets();
+    auto result = api::RunTrace(BuilderFor(names, 0.6 * demand, OracleKind::kMeasured), t);
+    ASSERT_EQ(result->log().size(), 40u);
+    accuracy = result->AverageAccuracy();
+    dropped = result->total_dropped();
+    packets = result->total_packets();
     sane = accuracy > 0.4 && dropped < packets / 4;
   }
   EXPECT_TRUE(sane) << "accuracy " << accuracy << ", dropped " << dropped << "/" << packets
@@ -213,24 +195,18 @@ TEST(Integration, LongRunStaysStable) {
   const std::vector<std::string> names = {"counter", "flows", "application", "top-k"};
   const double demand = MeasureMeanDemand(names, t, OracleKind::kModel);
 
-  RunSpec spec;
-  spec.system.shedder = ShedderKind::kPredictive;
-  spec.system.cycles_per_bin = 0.5 * demand;
-  spec.oracle = OracleKind::kModel;
-  spec.query_names = names;
-  spec.use_default_min_rates = false;
-  auto result = RunSystemOnTrace(spec, t);
-  EXPECT_EQ(result.system->total_dropped(), 0u);
+  auto result = api::RunTrace(BuilderFor(names, 0.5 * demand), t);
+  EXPECT_EQ(result->total_dropped(), 0u);
 
   // Backlog must not trend upward: compare first and second half occupancy.
   util::RunningStats first_half;
   util::RunningStats second_half;
-  const auto& log = result.system->log();
+  const auto& log = result->log();
   for (size_t i = 0; i < log.size(); ++i) {
     (i < log.size() / 2 ? first_half : second_half).Add(log[i].backlog_cycles);
   }
   EXPECT_LT(second_half.mean(),
-            first_half.mean() + 0.5 * result.system->capacity());
+            first_half.mean() + 0.5 * result->system().capacity());
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <string>
 #include <tuple>
 
+#include "src/api/run.h"
 #include "src/core/runner.h"
 #include "src/query/queries.h"
 #include "src/trace/generator.h"
@@ -17,8 +18,6 @@ namespace shedmon {
 namespace {
 
 using core::OracleKind;
-using core::RunSpec;
-using core::RunSystemOnTrace;
 using core::ShedderKind;
 
 const trace::Trace& SweepTrace() {
@@ -40,6 +39,22 @@ double SweepDemand() {
   return demand;
 }
 
+// Predictive shedding over `names` at the given capacity under the model
+// oracle, no rate floors.
+api::PipelineBuilder SweepBuilder(const std::vector<std::string>& names,
+                                  shed::StrategyKind strategy, double capacity) {
+  api::PipelineBuilder builder;
+  builder.Shedder(ShedderKind::kPredictive)
+      .Strategy(strategy)
+      .CyclesPerBin(capacity)
+      .Oracle(OracleKind::kModel)
+      .DefaultMinRates(false);
+  for (const auto& name : names) {
+    builder.AddQuery(name);
+  }
+  return builder;
+}
+
 // ---------------------------------------------------------------------------
 // Invariant 1 (Ch. 4 headline): the predictive system never loses a packet
 // uncontrolled, for every allocation strategy and overload level.
@@ -49,23 +64,18 @@ class NoDropSweep
 
 TEST_P(NoDropSweep, PredictiveNeverDropsUncontrolled) {
   const auto [strategy, k] = GetParam();
-  RunSpec spec;
-  spec.system.shedder = ShedderKind::kPredictive;
-  spec.system.strategy = strategy;
-  spec.system.cycles_per_bin = std::max(1.0, SweepDemand() * (1.0 - k));
-  spec.oracle = OracleKind::kModel;
-  spec.query_names = {"counter", "flows", "application", "top-k"};
-  spec.use_default_min_rates = false;
-  auto result = RunSystemOnTrace(spec, SweepTrace());
+  auto result = api::RunTrace(SweepBuilder({"counter", "flows", "application", "top-k"},
+                                           strategy, std::max(1.0, SweepDemand() * (1.0 - k))),
+                              SweepTrace());
   if (k <= 0.6) {
-    EXPECT_EQ(result.system->total_dropped(), 0u)
+    EXPECT_EQ(result->total_dropped(), 0u)
         << "strategy=" << static_cast<int>(strategy) << " K=" << k;
   } else {
     // At extreme overload the per-bin budget is a tenth of the mean demand;
     // a 7x burst bin can overwhelm any bounded buffer. Bounded loss (<1%)
     // is the honest guarantee there.
-    EXPECT_LT(static_cast<double>(result.system->total_dropped()),
-              0.01 * static_cast<double>(result.system->total_packets()))
+    EXPECT_LT(static_cast<double>(result->total_dropped()),
+              0.01 * static_cast<double>(result->total_packets()))
         << "strategy=" << static_cast<int>(strategy) << " K=" << k;
   }
 }
@@ -88,15 +98,10 @@ TEST_P(MonotoneSweep, AccuracyDegradesWithOverload) {
   const auto strategy = GetParam();
   double prev_accuracy = 1.1;
   for (const double k : {0.0, 0.4, 0.8}) {
-    RunSpec spec;
-    spec.system.shedder = ShedderKind::kPredictive;
-    spec.system.strategy = strategy;
-    spec.system.cycles_per_bin = std::max(1.0, SweepDemand() * (1.0 - k));
-    spec.oracle = OracleKind::kModel;
-    spec.query_names = {"counter", "flows", "application", "top-k"};
-    spec.use_default_min_rates = false;
-    auto result = RunSystemOnTrace(spec, SweepTrace());
-    const double accuracy = result.AverageAccuracy();
+    auto result = api::RunTrace(SweepBuilder({"counter", "flows", "application", "top-k"},
+                                             strategy, std::max(1.0, SweepDemand() * (1.0 - k))),
+                                SweepTrace());
+    const double accuracy = result->AverageAccuracy();
     EXPECT_LE(accuracy, prev_accuracy + 0.05) << "K=" << k;
     prev_accuracy = accuracy;
   }
@@ -116,17 +121,15 @@ class FloorSweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(FloorSweep, MinimumRatesHonoredWheneverScheduled) {
   const double k = GetParam();
-  RunSpec spec;
-  spec.system.shedder = ShedderKind::kPredictive;
-  spec.system.strategy = shed::StrategyKind::kMmfsPkt;
-  spec.system.cycles_per_bin = std::max(1.0, SweepDemand() * (1.0 - k));
-  spec.oracle = OracleKind::kModel;
-  spec.query_names = {"counter", "flows", "application", "top-k"};
-  spec.query_configs = {{0.02, true}, {0.25, true}, {0.10, true}, {0.40, true}};
-  spec.use_default_min_rates = false;
-  auto result = RunSystemOnTrace(spec, SweepTrace());
+  const std::vector<std::string> names = {"counter", "flows", "application", "top-k"};
   const double floors[] = {0.02, 0.25, 0.10, 0.40};
-  for (const auto& bin : result.system->log()) {
+  api::PipelineBuilder builder = SweepBuilder({}, shed::StrategyKind::kMmfsPkt,
+                                              std::max(1.0, SweepDemand() * (1.0 - k)));
+  for (size_t q = 0; q < names.size(); ++q) {
+    builder.AddQuery(names[q], {floors[q], true});
+  }
+  auto result = api::RunTrace(builder, SweepTrace());
+  for (const auto& bin : result->log()) {
     if (bin.batch_dropped) {
       continue;
     }
@@ -145,20 +148,15 @@ INSTANTIATE_TEST_SUITE_P(Overloads, FloorSweep, ::testing::Values(0.2, 0.5, 0.8)
 // shedding decisions and results with the model oracle.
 // ---------------------------------------------------------------------------
 TEST(PipelineProperty, ModelRunsAreDeterministic) {
-  RunSpec spec;
-  spec.system.shedder = ShedderKind::kPredictive;
-  spec.system.strategy = shed::StrategyKind::kMmfsPkt;
-  spec.system.cycles_per_bin = 0.5 * SweepDemand();
-  spec.oracle = OracleKind::kModel;
-  spec.query_names = {"counter", "flows"};
-  spec.use_default_min_rates = false;
+  const api::PipelineBuilder builder =
+      SweepBuilder({"counter", "flows"}, shed::StrategyKind::kMmfsPkt, 0.5 * SweepDemand());
 
-  auto a = RunSystemOnTrace(spec, SweepTrace());
-  auto b = RunSystemOnTrace(spec, SweepTrace());
-  ASSERT_EQ(a.system->log().size(), b.system->log().size());
-  for (size_t i = 0; i < a.system->log().size(); ++i) {
-    const auto& la = a.system->log()[i];
-    const auto& lb = b.system->log()[i];
+  auto a = api::RunTrace(builder, SweepTrace());
+  auto b = api::RunTrace(builder, SweepTrace());
+  ASSERT_EQ(a->log().size(), b->log().size());
+  for (size_t i = 0; i < a->log().size(); ++i) {
+    const auto& la = a->log()[i];
+    const auto& lb = b->log()[i];
     ASSERT_EQ(la.rate.size(), lb.rate.size());
     for (size_t q = 0; q < la.rate.size(); ++q) {
       EXPECT_DOUBLE_EQ(la.rate[q], lb.rate[q]) << "bin " << i;
@@ -178,21 +176,17 @@ TEST_P(BinLengthSweep, StableAcrossBinLengths) {
   const std::vector<std::string> names = {"counter", "flows"};
   const double demand =
       core::MeasureMeanDemand(names, SweepTrace(), OracleKind::kModel, bin_us);
-  RunSpec spec;
-  spec.system.time_bin_us = bin_us;
-  spec.system.shedder = ShedderKind::kPredictive;
-  spec.system.cycles_per_bin = 0.5 * demand;
-  spec.oracle = OracleKind::kModel;
-  spec.query_names = names;
-  spec.use_default_min_rates = false;
-  auto result = RunSystemOnTrace(spec, SweepTrace());
+  api::PipelineBuilder builder =
+      SweepBuilder(names, shed::StrategyKind::kEqSrates, 0.5 * demand);
+  builder.TimeBin(bin_us);
+  auto result = api::RunTrace(builder, SweepTrace());
   // A single extreme burst bin can exceed even the 5-bin buffer when the
   // per-bin capacity is tiny; bounded loss (<1%) is the honest invariant.
-  EXPECT_LT(static_cast<double>(result.system->total_dropped()),
-            0.01 * static_cast<double>(result.system->total_packets()))
+  EXPECT_LT(static_cast<double>(result->total_dropped()),
+            0.01 * static_cast<double>(result->total_packets()))
       << "bin_us=" << bin_us;
   // Shorter bins hold fewer packets, so the sampling-noise floor rises.
-  EXPECT_GT(result.AverageAccuracy(), bin_us < 100'000 ? 0.65 : 0.70)
+  EXPECT_GT(result->AverageAccuracy(), bin_us < 100'000 ? 0.65 : 0.70)
       << "bin_us=" << bin_us;
 }
 

@@ -294,6 +294,14 @@ TEST(Robustness, IngestCapResetsAtEveryBinBoundary) {
   EXPECT_EQ(pipeline->ingest_dropped(), 6u);
 }
 
+TEST(Robustness, IngestCapRejectsTheBlockPolicy) {
+  // Push is synchronous: a "blocking" cap could never block, only absorb.
+  EXPECT_THROW(api::PipelineBuilder().IngestCap(10, rt::OverflowPolicy::kBlock).BuildUnique(),
+               ConfigError);
+  auto pipeline = api::PipelineBuilder().BuildUnique();
+  EXPECT_THROW(pipeline->SetIngestCap(10, rt::OverflowPolicy::kBlock), ConfigError);
+}
+
 // ---------------------------------------------------------------------------
 // Sink fault tolerance
 // ---------------------------------------------------------------------------

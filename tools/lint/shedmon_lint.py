@@ -28,6 +28,11 @@ they compile:
                   implementation-defined, so anything accumulated in loop
                   order can leak nondeterminism into BinLog or accuracy
                   output. Annotate genuinely order-insensitive loops.
+  layering        A .cpp under src/<m>/ opening any namespace other than
+                  shedmon, shedmon::<m> or one nested in shedmon::<m>
+                  (anonymous namespaces are transparent). Defining another
+                  layer's symbols from src/<m>/ hides an edge the
+                  dependency DAG in src/CMakeLists.txt does not show.
 
 Suppression grammar (same line or the line directly above):
 
@@ -348,6 +353,42 @@ OBS_READ_PATTERNS = [
 ]
 
 
+# A namespace *definition* header: `namespace a::b {` or `namespace {`.
+# Aliases (`namespace x = y;`) and using-directives never reach a `{`.
+NS_OPEN_RE = re.compile(r"\bnamespace\b\s*([A-Za-z_][\w\s:]*?)?\s*\{")
+
+
+def layering_findings(lexed: LexedFile, module: str) -> List[Finding]:
+    text, line_starts = lexed.flat()
+    headers = {m.end() - 1: m for m in NS_OPEN_RE.finditer(text)}
+    findings = []
+    path: List[str] = []  # named namespaces currently open
+    pushed: List[int] = []  # per open brace: how many names it added
+    for i, ch in enumerate(text):
+        if ch == "}":
+            if pushed:
+                del path[len(path) - pushed.pop():]
+            continue
+        if ch != "{":
+            continue
+        header = headers.get(i)
+        names = []
+        if header is not None and header.group(1):
+            names = [part.strip().removeprefix("inline").strip()
+                     for part in header.group(1).split("::")]
+            names = [name for name in names if name]
+        pushed.append(len(names))
+        path.extend(names)
+        if (names and path != ["shedmon"] and path[:2] != ["shedmon", module]):
+            line = LexedFile.line_of(header.start(), line_starts)
+            if not suppressed(lexed, line, "layering"):
+                findings.append(Finding(
+                    lexed.path, line, "layering",
+                    f"src/{module}/ may define only shedmon::{module}; this opens "
+                    f"namespace {'::'.join(path)}"))
+    return findings
+
+
 def pattern_findings(lexed: LexedFile, rule: str,
                      patterns: Sequence[Tuple[re.Pattern, str]]) -> List[Finding]:
     findings = []
@@ -507,6 +548,9 @@ def rules_for(rel_path: str) -> List[str]:
     if rel_path.startswith(DECISION_DIR_PREFIXES):
         rules.append("obs-read")
         rules.append("unordered-iter")
+    if rel_path.startswith("src/") and rel_path.count("/") >= 2 and \
+            rel_path.endswith((".cpp", ".cc", ".cxx")):
+        rules.append("layering")
     return rules
 
 
@@ -554,6 +598,8 @@ def lint_file(root: str, rel_path: str, text: str, cindex,
     if "unordered-iter" in active:
         extra = "" if virtual_path else sibling_header_text(root, rel_path)
         findings += range_for_findings(lexed, extra)
+    if "layering" in active:
+        findings += layering_findings(lexed, path_for_rules.split("/")[1])
     return findings
 
 
@@ -625,7 +671,7 @@ def self_test(root: str, cindex) -> int:
         for extra in sorted(actual - expected):
             print(f"self-test FAIL {fixture}:{extra[0]}: unexpected [{extra[1]}]")
             failures += 1
-    for rule in ("wall-clock", "rng", "obs-read", "unordered-iter"):
+    for rule in ("wall-clock", "rng", "obs-read", "unordered-iter", "layering"):
         if rule not in rules_covered:
             print(f"self-test FAIL: no fixture exercises [{rule}]")
             failures += 1

@@ -4,6 +4,7 @@
 // [obs-read]; writing instruments and the checkpoint Save/Load types stay
 // silent. Never compiled — consumed by shedmon_lint.py --self-test.
 
+// lint: allow(layering) stub declarations standing in for the obs headers
 namespace obs {
 class MetricsRegistry;
 class Counter;

@@ -9,6 +9,7 @@
 #include <random>
 #include <vector>
 
+// lint: allow(layering) stub declarations standing in for the obs headers
 namespace obs {
 class Counter;
 }

@@ -172,6 +172,9 @@ int Usage() {
       "                      captured per frame, ring depth, overflow policy,\n"
       "                      and how far behind real time a packet may arrive\n"
       "\n"
+      "Names are strict: --strategy also takes eq_srates|mmfs_cpu|mmfs_pkt and\n"
+      "--shedder noshed (the config-file spellings); anything else exits 2.\n"
+      "\n"
       "run flags:\n"
       "  --config FILE       load an INI pipeline config (system knobs, query\n"
       "                      roster, sinks); other flags override the file\n"
@@ -182,7 +185,7 @@ int Usage() {
       "                      duration per bin; overruns climb a degradation\n"
       "                      ladder (boost shedding, truncate, drop bin)\n"
       "  --ingest-cap N      bound the open bin at N records; --ingest-policy\n"
-      "                      is block, drop-newest (default) or drop-oldest\n"
+      "                      is drop-newest (default) or drop-oldest\n"
       "  --fault-plan SPEC   deterministic fault injection, e.g.\n"
       "                      'seed=7,stall_bin=3:80000,sink_fail_n=2'\n"
       "  --sink-retries N    retry failed CSV/JSONL sink writes up to N times\n"
@@ -368,9 +371,7 @@ int CmdRun(const Flags& flags) {
   }
   const std::vector<std::string>& queries = file_config.queries;
   if (overrides("oracle")) {
-    file_config.oracle = flags.Get("oracle", "model") == "measured"
-                             ? core::OracleKind::kMeasured
-                             : core::OracleKind::kModel;
+    file_config.oracle = api::ParseOracle(flags.Get("oracle", "model"));
   }
   const core::OracleKind oracle = file_config.oracle;
 
@@ -379,16 +380,10 @@ int CmdRun(const Flags& flags) {
     builder.TimeBin(flags.GetU64("bin-us", 100'000));
   }
   if (overrides("shedder")) {
-    const std::string shedder = flags.Get("shedder", "predictive");
-    builder.Shedder(shedder == "reactive" ? core::ShedderKind::kReactive
-                    : shedder == "none"   ? core::ShedderKind::kNoShed
-                                          : core::ShedderKind::kPredictive);
+    builder.Shedder(api::ParseShedder(flags.Get("shedder", "predictive")));
   }
   if (overrides("strategy")) {
-    const std::string strategy = flags.Get("strategy", "pkt");
-    builder.Strategy(strategy == "eq"    ? shed::StrategyKind::kEqSrates
-                     : strategy == "cpu" ? shed::StrategyKind::kMmfsCpu
-                                         : shed::StrategyKind::kMmfsPkt);
+    builder.Strategy(api::ParseStrategy(flags.Get("strategy", "pkt")));
   }
   if (flags.Has("custom") || !have_config) {
     builder.CustomShedding(flags.Has("custom"));
@@ -428,11 +423,8 @@ int CmdRun(const Flags& flags) {
     builder.Deadline(flags.GetDouble("deadline", 0.9));
   }
   if (flags.Has("ingest-cap")) {
-    const std::string policy = flags.Get("ingest-policy", "drop-newest");
     builder.IngestCap(flags.GetU64("ingest-cap", 0),
-                      policy == "block"         ? rt::OverflowPolicy::kBlock
-                      : policy == "drop-oldest" ? rt::OverflowPolicy::kDropOldest
-                                                : rt::OverflowPolicy::kDropNewest);
+                      api::ParseOverflowPolicy(flags.Get("ingest-policy", "drop-newest")));
   }
   if (flags.Has("fault-plan")) {
     builder.InjectFaults(rt::FaultPlan::Parse(flags.Get("fault-plan")));
@@ -577,10 +569,7 @@ int CmdCapture(const Flags& flags) {
   capture_config.snap_bytes =
       static_cast<uint32_t>(flags.GetU64("snap", capture_config.snap_bytes));
   capture_config.queue_capacity = flags.GetU64("queue", capture_config.queue_capacity);
-  const std::string overflow = flags.Get("overflow", "block");
-  capture_config.overflow = overflow == "drop-newest"   ? rt::OverflowPolicy::kDropNewest
-                            : overflow == "drop-oldest" ? rt::OverflowPolicy::kDropOldest
-                                                        : rt::OverflowPolicy::kBlock;
+  capture_config.overflow = api::ParseOverflowPolicy(flags.Get("overflow", "block"));
   capture_config.late_slack_us = flags.GetU64("late-slack-us", capture_config.late_slack_us);
 
   const bool have_config = flags.Has("config");
@@ -607,16 +596,10 @@ int CmdCapture(const Flags& flags) {
     return 2;
   }
   if (flags.Has("shedder")) {
-    const std::string shedder = flags.Get("shedder", "predictive");
-    builder.Shedder(shedder == "reactive" ? core::ShedderKind::kReactive
-                    : shedder == "none"   ? core::ShedderKind::kNoShed
-                                          : core::ShedderKind::kPredictive);
+    builder.Shedder(api::ParseShedder(flags.Get("shedder", "predictive")));
   }
   if (flags.Has("strategy")) {
-    const std::string strategy = flags.Get("strategy", "pkt");
-    builder.Strategy(strategy == "eq"    ? shed::StrategyKind::kEqSrates
-                     : strategy == "cpu" ? shed::StrategyKind::kMmfsCpu
-                                         : shed::StrategyKind::kMmfsPkt);
+    builder.Strategy(api::ParseStrategy(flags.Get("strategy", "pkt")));
   }
   if (flags.Has("custom")) {
     builder.CustomShedding(true);
@@ -637,11 +620,8 @@ int CmdCapture(const Flags& flags) {
     builder.Deadline(flags.GetDouble("deadline", 0.9));
   }
   if (flags.Has("ingest-cap")) {
-    const std::string policy = flags.Get("ingest-policy", "drop-newest");
     builder.IngestCap(flags.GetU64("ingest-cap", 0),
-                      policy == "block"         ? rt::OverflowPolicy::kBlock
-                      : policy == "drop-oldest" ? rt::OverflowPolicy::kDropOldest
-                                                : rt::OverflowPolicy::kDropNewest);
+                      api::ParseOverflowPolicy(flags.Get("ingest-policy", "drop-newest")));
   }
   if (flags.Has("trace-out")) {
     builder.Tracing();
@@ -832,6 +812,10 @@ int main(int argc, char** argv) {
     if (command == "queries") {
       return CmdQueries();
     }
+  } catch (const ConfigError& e) {
+    // Bad names and invalid settings exit like bad flags do.
+    std::fprintf(stderr, "shedmon %s: %s\n", command.c_str(), e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "shedmon %s: %s\n", command.c_str(), e.what());
     return 1;

@@ -19,12 +19,6 @@ namespace shedmon::api {
 namespace {
 constexpr size_t kNpos = static_cast<size_t>(-1);
 
-// Push is synchronous (the caller is the consumer), so a "blocking" ingest
-// cap could never block; it used to absorb silently. Rejected instead.
-constexpr char kBlockIngestPolicyError[] =
-    "IngestCap: the block policy does nothing at the synchronous Pipeline; use drop-newest or "
-    "drop-oldest";
-
 // Sink-path probe for eager validation: Build() must fail before a system
 // exists, not after the first bin, so the path is opened (append, to not
 // clobber an existing file) and closed again.
@@ -243,57 +237,18 @@ PipelineBuilder& PipelineBuilder::CaptureFrom(capture::CaptureConfig config) {
   return *this;
 }
 
-void PipelineBuilder::ApplyObsOptions(Pipeline& pipeline) const {
-  if (tracing_) {
-    pipeline.EnableTracing();
-  }
-  if (serve_enabled_) {
-    pipeline.ServeOn(serve_port_);
-  }
-}
-
-void PipelineBuilder::ApplyRtOptions(Pipeline& pipeline) const {
-  if (clock_ != nullptr) {
-    pipeline.clock_ = clock_;
-  }
-  if (has_fault_plan_) {
-    pipeline.SetFaultPlan(fault_plan_);
-  }
-  if (deadline_enabled_) {
-    pipeline.SetDeadline(governor_config_);
-  }
-  if (ingest_cap_ > 0) {
-    pipeline.SetIngestCap(ingest_cap_, ingest_policy_);
-  }
-  if (has_sink_retry_) {
-    pipeline.SetSinkRetry(sink_retry_);
-  }
-  if (!checkpoint_path_.empty()) {
-    pipeline.SetCheckpoint(checkpoint_path_, checkpoint_every_);
-  }
-}
-
 std::unique_ptr<Pipeline> PipelineBuilder::RestoreOrBuild(const std::string& path) const {
-  std::unique_ptr<Pipeline> pipeline;
+  Validate();
   std::ifstream in(path, std::ios::binary);
   if (in) {
     try {
-      pipeline = Restore(in);
+      return RestoreFrom(in);
     } catch (const obs::SnapshotError&) {
       // Torn or corrupt checkpoint: the atomic writer makes this unlikely,
       // but an operator-truncated file must not keep the monitor down.
-      pipeline = nullptr;
     }
   }
-  if (pipeline == nullptr) {
-    return BuildUnique();  // the Pipeline ctor applies the rt/obs options
-  }
-  ApplyRtOptions(*pipeline);
-  ApplyObsOptions(*pipeline);
-  if (has_capture_) {
-    pipeline->StartCapture(capture_config_);
-  }
-  return pipeline;
+  return std::unique_ptr<Pipeline>(new Pipeline(*this, nullptr));
 }
 
 PipelineBuilder PipelineBuilder::FromConfig(const FileConfig& config) {
@@ -361,7 +316,11 @@ void PipelineBuilder::Validate() const {
     }
   }
   if (ingest_policy_ == rt::OverflowPolicy::kBlock) {
-    throw ConfigError(kBlockIngestPolicyError);
+    // Push is synchronous (the caller is the consumer), so a "blocking"
+    // ingest cap could never block.
+    throw ConfigError(
+        "IngestCap: the block policy does nothing at the synchronous Pipeline; use drop-newest "
+        "or drop-oldest");
   }
   if (deadline_enabled_ && !(governor_config_.budget_fraction > 0.0)) {
     throw ConfigError("deadline budget_fraction must be positive");
@@ -395,36 +354,35 @@ void PipelineBuilder::Validate() const {
 
 Pipeline PipelineBuilder::Build() const {
   Validate();
-  return Pipeline(*this);
+  return Pipeline(*this, nullptr);
 }
 
 std::unique_ptr<Pipeline> PipelineBuilder::BuildUnique() const {
   Validate();
-  return std::unique_ptr<Pipeline>(new Pipeline(*this));
+  return std::unique_ptr<Pipeline>(new Pipeline(*this, nullptr));
 }
 
 // ---------------------------------------------------------------------------
 // Pipeline
 // ---------------------------------------------------------------------------
 
-Pipeline::Pipeline(const core::SystemConfig& config, core::OracleKind oracle_kind,
-                   bool track_accuracy, bool default_min_rates)
-    : track_accuracy_(track_accuracy),
-      default_min_rates_(default_min_rates),
-      oracle_kind_(oracle_kind),
-      bin_us_(config.time_bin_us) {
-  if (config.time_bin_us == 0) {
+Pipeline::Pipeline(const PipelineBuilder& builder, obs::SnapshotReader* state)
+    : track_accuracy_(builder.track_accuracy_),
+      default_min_rates_(builder.default_min_rates_),
+      oracle_kind_(builder.oracle_),
+      bin_us_(builder.config_.time_bin_us) {
+  if (bin_us_ == 0) {
     // ConfigError derives from std::invalid_argument, the contract callers
     // relied on before eager builder validation existed.
     throw ConfigError("Pipeline: time_bin_us must be positive");
   }
-  system_ = std::make_unique<core::MonitoringSystem>(config, core::MakeOracle(oracle_kind));
-  RefreshStats();
-}
+  system_ = std::make_unique<core::MonitoringSystem>(builder.config_,
+                                                     core::MakeOracle(builder.oracle_));
+  obs::MetricsRegistry& metrics = system_->metrics();
 
-Pipeline::Pipeline(const PipelineBuilder& builder)
-    : Pipeline(builder.config_, builder.oracle_, builder.track_accuracy_,
-               builder.default_min_rates_) {
+  // 1. Queries. A restore recreates the snapshot's roster here: AddQuery
+  // consumes system RNG draws for the samplers, but LoadState overwrites the
+  // RNG and every sampler state wholesale, so the draw count is irrelevant.
   for (const PipelineBuilder::PendingQuery& pending : builder.queries_) {
     if (pending.has_config) {
       AddQuery(pending.name, pending.config);
@@ -432,6 +390,11 @@ Pipeline::Pipeline(const PipelineBuilder& builder)
       AddQuery(pending.name);
     }
   }
+  if (state != nullptr) {
+    LoadState(*state);
+  }
+
+  // 2. Sinks and the logger.
   if (!builder.csv_path_.empty()) {
     auto sink = std::make_unique<CsvBinSink>(builder.csv_path_);
     rt_sinks_.push_back(sink.get());
@@ -443,14 +406,78 @@ Pipeline::Pipeline(const PipelineBuilder& builder)
     AddObserver(std::move(sink));
   }
   if (!builder.log_path_.empty()) {
-    SetLogger(std::make_unique<obs::JsonlLogger>(builder.log_path_));
+    logger_ = std::make_unique<obs::JsonlLogger>(builder.log_path_);
   }
-  builder.ApplyRtOptions(*this);
-  builder.ApplyObsOptions(*this);
-  if (builder.has_capture_) {
-    StartCapture(builder.capture_config_);
+
+  // 3. The clock, resolved once for every rt user below and for capture.
+  clock_ = builder.clock_ != nullptr ? builder.clock_ : rt::DefaultClock();
+
+  // 4. Fault plan, governor, ingest cap, sink retry and checkpoint.
+  if (builder.has_fault_plan_) {
+    injector_ = std::make_unique<rt::FaultInjector>(builder.fault_plan_, clock_);
+    system_->SetFaultInjector(injector_.get());
   }
+  if (builder.deadline_enabled_) {
+    governor_ = std::make_unique<rt::DeadlineGovernor>(builder.governor_config_, clock_);
+    governor_->Attach(&metrics, logger_.get());
+  }
+  ingest_cap_ = builder.ingest_cap_;
+  ingest_policy_ = builder.ingest_policy_;
+  if (ingest_cap_ > 0) {
+    m_ingest_dropped_ =
+        &metrics.GetCounter("shedmon_rt_ingest_dropped_total", {},
+                            "Records rejected or evicted by the bounded ingest buffer");
+  }
+  if (builder.has_sink_retry_) {
+    for (ResilientSinkBase* sink : rt_sinks_) {
+      sink->EnableResilience(builder.sink_retry_, clock_, injector_.get(), &metrics,
+                             logger_.get());
+    }
+  }
+  checkpoint_path_ = builder.checkpoint_path_;
+  checkpoint_every_ = builder.checkpoint_every_;
+
+  // 5. Tracer.
+  if (builder.tracing_) {
+    tracer_ = std::make_unique<obs::Tracer>();
+    tracer_->AttachMetrics(&metrics);
+    system_->SetTracer(tracer_.get());
+    if (governor_ != nullptr) {
+      governor_->SetTracer(tracer_.get());
+    }
+  }
+
+  // 6. Server. The handler must see valid stats before the first bin.
   RefreshStats();
+  if (builder.serve_enabled_) {
+    try {
+      server_ = std::make_unique<obs::ObsServer>(
+          builder.serve_port_, [this](const std::string& path) { return HandleHttp(path); });
+    } catch (const std::runtime_error& e) {
+      // Port squatting is a deployment error the operator must see at
+      // Build(), not a silent fallback; the listen socket deliberately
+      // avoids SO_REUSEADDR so the bind fails loudly here.
+      throw ConfigError(e.what());
+    }
+  }
+
+  // 7. Capture, last: its consumer thread becomes the coordinator and
+  // pushes into everything above, so from Start() on this thread touches
+  // nothing (the stats published above already describe the pipeline).
+  if (builder.has_capture_) {
+    capture::CaptureConfig config = builder.capture_config_;
+    if (config.clock == nullptr) {
+      config.clock = clock_;
+    }
+    capture_sink_ = std::make_unique<PipelineIngestSink>(this);
+    try {
+      capture_ = std::make_unique<capture::CaptureLoop>(std::move(config), capture_sink_.get(),
+                                                        &metrics, tracer_.get());
+      capture_->Start();
+    } catch (const std::exception& e) {
+      throw ConfigError(std::string("capture: ") + e.what());
+    }
+  }
 }
 
 Pipeline::~Pipeline() = default;
@@ -591,7 +618,7 @@ void Pipeline::AppendRecord(const net::PacketRecord& record, const uint8_t* payl
       m_ingest_dropped_->Increment();
     }
     if (ingest_policy_ != rt::OverflowPolicy::kDropOldest) {
-      return;  // kDropNewest (SetIngestCap rejects kBlock)
+      return;  // kDropNewest (Validate rejects kBlock)
     }
     // Evict by advancing the head; the evicted payload bytes idle in the
     // arena until the bin closes (see the ingest_head_ comment).
@@ -658,13 +685,16 @@ void Pipeline::CloseOpenBin() {
     }
     system_->ProcessBatch(batch_);
     UpdateTallies(system_->log().back());
-    {
-      obs::Span ref_span(tracer_.get(), obs::Stage::kReference, bin);
-      RunReferences();
-    }
     if (governor_ != nullptr) {
       governor_->End(bin_us_, open_bin_);
       system_->MarkDeadline(governor_->last_deadline_missed(), governor_->last_overrun_us());
+    }
+    // The reference instances are unsampled ground truth for the accuracy
+    // metric, not the probe's own work, so they run outside the deadline
+    // bracket; observers still see the updated references.
+    {
+      obs::Span ref_span(tracer_.get(), obs::Stage::kReference, bin);
+      RunReferences();
     }
     {
       obs::Span sink_span(tracer_.get(), obs::Stage::kSink, bin);
@@ -828,27 +858,6 @@ void Pipeline::RefreshStats() {
   published_quarantined_sinks_ = quarantined;
 }
 
-void Pipeline::StartCapture(capture::CaptureConfig config) {
-  EnsureOpen("StartCapture");
-  if (capture_ != nullptr) {
-    throw ConfigError("Pipeline::StartCapture: capture was already started");
-  }
-  if (config.clock == nullptr) {
-    config.clock = clock_;  // may still be null; the loop falls back to DefaultClock
-  }
-  capture_sink_ = std::make_unique<PipelineIngestSink>(this);
-  try {
-    auto loop = std::make_unique<capture::CaptureLoop>(std::move(config), capture_sink_.get(),
-                                                       &system_->metrics(), tracer_.get());
-    loop->Start();
-    capture_ = std::move(loop);
-  } catch (const std::exception& e) {
-    capture_sink_.reset();
-    throw ConfigError(std::string("capture: ") + e.what());
-  }
-  RefreshStats();
-}
-
 void Pipeline::StopCapture() {
   if (capture_ != nullptr && capture_->running()) {
     capture_->Stop();
@@ -860,77 +869,9 @@ capture::CaptureStats Pipeline::capture_stats() const {
   return capture_ != nullptr ? capture_->stats() : capture::CaptureStats{};
 }
 
-void Pipeline::SetLogger(std::unique_ptr<obs::JsonlLogger> logger) {
-  logger_ = std::move(logger);
-  // The governor and resilient sinks hold a borrowed logger pointer;
-  // re-attach so their events follow the replacement (or detach on null).
-  if (governor_ != nullptr) {
-    governor_->Attach(&system_->metrics(), logger_.get());
-  }
-  AttachSinkRt();
-}
-
 // ---------------------------------------------------------------------------
 // Real-time robustness
 // ---------------------------------------------------------------------------
-
-void Pipeline::SetDeadline(const rt::GovernorConfig& config) {
-  if (clock_ == nullptr) {
-    clock_ = rt::DefaultClock();
-  }
-  governor_ = std::make_unique<rt::DeadlineGovernor>(config, clock_);
-  governor_->Attach(&system_->metrics(), logger_.get());
-  governor_->SetTracer(tracer_.get());
-}
-
-void Pipeline::ClearDeadline() {
-  governor_.reset();
-  system_->SetDegradation(rt::Directive{});
-}
-
-void Pipeline::SetFaultPlan(const rt::FaultPlan& plan) {
-  if (clock_ == nullptr) {
-    clock_ = rt::DefaultClock();
-  }
-  injector_ = std::make_unique<rt::FaultInjector>(plan, clock_);
-  system_->SetFaultInjector(injector_.get());
-  AttachSinkRt();
-}
-
-void Pipeline::SetIngestCap(size_t max_records, rt::OverflowPolicy policy) {
-  if (policy == rt::OverflowPolicy::kBlock) {
-    throw ConfigError(kBlockIngestPolicyError);
-  }
-  ingest_cap_ = max_records;
-  ingest_policy_ = policy;
-  if (ingest_cap_ > 0 && m_ingest_dropped_ == nullptr) {
-    m_ingest_dropped_ = &system_->metrics().GetCounter(
-        "shedmon_rt_ingest_dropped_total", {},
-        "Records rejected or evicted by the bounded ingest buffer");
-  }
-}
-
-void Pipeline::SetSinkRetry(const rt::RetryPolicy& policy) {
-  sink_retry_ = policy;
-  if (clock_ == nullptr) {
-    clock_ = rt::DefaultClock();
-  }
-  for (ResilientSinkBase* sink : rt_sinks_) {
-    sink->EnableResilience(sink_retry_, clock_);
-  }
-  AttachSinkRt();
-}
-
-void Pipeline::SetCheckpoint(std::string path, size_t every_bins) {
-  checkpoint_path_ = std::move(path);
-  checkpoint_every_ = every_bins;
-}
-
-void Pipeline::AttachSinkRt() {
-  for (ResilientSinkBase* sink : rt_sinks_) {
-    sink->AttachRt(injector_.get(), &system_->metrics(), logger_.get());
-  }
-}
 
 void Pipeline::MaybeCheckpoint() {
   if (checkpoint_path_.empty()) {
@@ -1018,21 +959,6 @@ double Pipeline::MinimumAccuracy() const {
 // Tracing & HTTP endpoint
 // ---------------------------------------------------------------------------
 
-obs::Tracer& Pipeline::EnableTracing() {
-  if (tracer_ == nullptr) {
-    tracer_ = std::make_unique<obs::Tracer>();
-    tracer_->AttachMetrics(&system_->metrics());
-    system_->SetTracer(tracer_.get());
-    if (governor_ != nullptr) {
-      governor_->SetTracer(tracer_.get());
-    }
-    // Published last: once the HTTP thread can see the tracer, it is fully
-    // attached and safe to snapshot.
-    tracer_view_.store(tracer_.get(), std::memory_order_release);
-  }
-  return *tracer_;
-}
-
 void Pipeline::DumpTrace(const std::string& path) const {
   if (tracer_ == nullptr) {
     throw std::logic_error("Pipeline::DumpTrace: tracing is not enabled");
@@ -1040,21 +966,6 @@ void Pipeline::DumpTrace(const std::string& path) const {
   if (!tracer_->WriteChromeTrace(path)) {
     throw std::runtime_error("Pipeline::DumpTrace: cannot write '" + path + "'");
   }
-}
-
-uint16_t Pipeline::ServeOn(uint16_t port) {
-  server_.reset();  // rebinding replaces any previous endpoint
-  RefreshStats();   // the handler must see valid stats before the first bin
-  try {
-    server_ = std::make_unique<obs::ObsServer>(
-        port, [this](const std::string& path) { return HandleHttp(path); });
-  } catch (const std::runtime_error& e) {
-    // Port squatting is a deployment error the operator must see at Build(),
-    // not a silent fallback; the listen socket deliberately avoids
-    // SO_REUSEADDR so the bind fails loudly here.
-    throw ConfigError(e.what());
-  }
-  return server_->port();
 }
 
 namespace {
@@ -1153,14 +1064,13 @@ obs::ObsServer::Response Pipeline::HandleHttp(const std::string& raw_path) const
     return response;
   }
   if (path == "/trace") {
-    obs::Tracer* tracer = tracer_view_.load(std::memory_order_acquire);
-    if (tracer == nullptr) {
+    if (tracer_ == nullptr) {
       response.status = 404;
       response.body = "tracing disabled; build the pipeline with Tracing()\n";
       return response;
     }
     response.content_type = "application/json";
-    response.body = tracer->ExportChromeTrace();
+    response.body = tracer_->ExportChromeTrace();
     return response;
   }
   if (path == "/" || path.empty()) {

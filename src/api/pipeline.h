@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
@@ -31,6 +30,10 @@
 #include "src/trace/generator.h"
 #include "src/util/sync.h"
 #include "src/util/thread_annotations.h"
+
+namespace shedmon::obs {
+class SnapshotReader;
+}  // namespace shedmon::obs
 
 namespace shedmon::api {
 
@@ -168,9 +171,11 @@ class PipelineBuilder {
   PipelineBuilder& AddQuery(std::string_view name);
   PipelineBuilder& AddQuery(std::string_view name, const core::QueryConfig& config);
   // Per-bin result sinks attached by Build() (CSV / JSONL rows, one per
-  // closed bin) and the structured JSONL event log (see Pipeline::SetLogger).
-  // Empty path = none. Build() throws ConfigError when a path cannot be
-  // opened for writing.
+  // closed bin) and the structured JSONL event log (query_added /
+  // query_removed / bin_closed / snapshot / rt / finish events, one JSON
+  // object per line, written only from the coordinator thread). Empty path =
+  // none. Build() throws ConfigError when a path cannot be opened for
+  // writing.
   PipelineBuilder& CsvTo(std::string path);
   PipelineBuilder& JsonlTo(std::string path);
   PipelineBuilder& LogTo(std::string path);
@@ -233,11 +238,13 @@ class PipelineBuilder {
   // run.
   PipelineBuilder& SinkRetry(const rt::RetryPolicy& policy);
 
-  // Restore-on-restart: restores from `path` when it holds a readable
-  // snapshot; a missing, torn or corrupt file (e.g. a crash mid-checkpoint,
-  // though the atomic checkpoint writer makes that exceedingly unlikely)
-  // falls back to building fresh from this builder's configuration. The rt
-  // options above are re-applied to the restored pipeline either way.
+  // Restore-on-restart: validates this builder, then restores from `path`
+  // when it holds a readable snapshot; a missing, torn or corrupt file (e.g.
+  // a crash mid-checkpoint, though the atomic checkpoint writer makes that
+  // exceedingly unlikely) falls back to building fresh. A restored pipeline
+  // takes its system config, oracle, accuracy/min-rate flags and roster from
+  // the snapshot, and everything else — sinks, event log, rt, tracing,
+  // endpoint, capture — from this builder, exactly as Build() would.
   std::unique_ptr<Pipeline> RestoreOrBuild(const std::string& path) const;
 
   // Loads a parsed config file (see api::ParseConfigFile for the format):
@@ -264,10 +271,11 @@ class PipelineBuilder {
   // state (RNG, smoothers, buffer/threshold, samplers, predictors, oracle)
   // so that replaying the remaining input produces BinLogs field-identical
   // to the uninterrupted run. Accuracy references, the metrics registry and
-  // PipelineStats restart from zero — they describe this process. The
-  // builder's own settings are ignored (the snapshot is authoritative);
-  // Restore is static so call sites read as PipelineBuilder::Restore(path).
-  // Throws obs::SnapshotError on a malformed or incompatible stream.
+  // PipelineStats restart from zero — they describe this process. Every
+  // other option is a default builder's (no sinks, rt or obs features; use
+  // RestoreOrBuild to keep them); Restore is static so call sites read as
+  // PipelineBuilder::Restore(path). Throws obs::SnapshotError on a
+  // malformed or incompatible stream.
   static std::unique_ptr<Pipeline> Restore(std::istream& in);
   static std::unique_ptr<Pipeline> Restore(const std::string& path);
 
@@ -288,7 +296,7 @@ class PipelineBuilder {
   std::string csv_path_;
   std::string jsonl_path_;
   std::string log_path_;
-  // rt options; applied by Build() and re-applied after RestoreOrBuild().
+  // rt options.
   bool deadline_enabled_ = false;
   rt::GovernorConfig governor_config_;
   std::shared_ptr<rt::Clock> clock_;
@@ -300,19 +308,18 @@ class PipelineBuilder {
   size_t checkpoint_every_ = 0;  // 0 = the system's measurement interval
   bool has_sink_retry_ = false;
   rt::RetryPolicy sink_retry_;
-  // obs options; applied like the rt options.
+  // obs options.
   bool tracing_ = false;
   bool serve_enabled_ = false;
   uint16_t serve_port_ = 0;
-  // capture option; started by Build()/RestoreOrBuild() after rt and obs.
+  // capture option; started last, once everything it feeds is in place.
   bool has_capture_ = false;
   capture::CaptureConfig capture_config_;
 
-  // Shared by Build() and RestoreOrBuild(): arms the rt options on a
-  // freshly built or freshly restored pipeline.
-  void ApplyRtOptions(Pipeline& pipeline) const;
-  // Same for the tracing/HTTP-endpoint options.
-  void ApplyObsOptions(Pipeline& pipeline) const;
+  // Shared by Restore and RestoreOrBuild: reads the snapshot's config,
+  // oracle, flags and roster into a copy of this builder and constructs
+  // from it. Throws obs::SnapshotError on a malformed stream.
+  std::unique_ptr<Pipeline> RestoreFrom(std::istream& in) const;
 };
 
 // The supported public entry point to shedmon: a long-lived, online
@@ -427,12 +434,10 @@ class Pipeline {
   PipelineStats Stats() const;
 
   // ---- Tracing & HTTP endpoint (src/obs) ----------------------------------
-  // Arms per-stage span tracing (idempotent; normally via
-  // PipelineBuilder::Tracing). Spans land in bounded lock-free rings; once
-  // full, further spans are counted in shedmon_obs_trace_dropped_total and
-  // discarded. Also registers the shedmon_stage_wall_us{stage=...}
-  // histograms, fed from the same spans.
-  obs::Tracer& EnableTracing();
+  // The span tracer, null unless built with PipelineBuilder::Tracing. Spans
+  // land in bounded lock-free rings; once full, further spans are counted in
+  // shedmon_obs_trace_dropped_total and discarded. The tracer also feeds the
+  // shedmon_stage_wall_us{stage=...} histograms.
   const obs::Tracer* tracer() const { return tracer_.get(); }
 
   // Writes the trace so far as Chrome trace-event JSON (Perfetto /
@@ -440,56 +445,30 @@ class Pipeline {
   // std::runtime_error when the file cannot be written.
   void DumpTrace(const std::string& path) const;
 
-  // Starts the embedded HTTP endpoint on 127.0.0.1:<port> (0 = ephemeral)
-  // serving GET /metrics, /healthz, /stats and /trace; returns the bound
-  // port. Normally via PipelineBuilder::ServeOn. Throws ConfigError when the
-  // port cannot be bound. One server per pipeline: calling again replaces it.
-  uint16_t ServeOn(uint16_t port);
-  // The bound port, 0 when not serving.
+  // The bound port of the PipelineBuilder::ServeOn endpoint, 0 when not
+  // serving.
   uint16_t serve_port() const { return server_ != nullptr ? server_->port() : 0; }
   // Stops the endpoint (idempotent; Finish and destruction also stop it).
   void StopServing() { server_.reset(); }
 
-  // Attaches a structured JSONL event log: query_added / query_removed /
-  // bin_closed / snapshot / finish events, one JSON object per line. Pass
-  // null to detach. The logger is owned by the pipeline and written only
-  // from the coordinator thread.
-  void SetLogger(std::unique_ptr<obs::JsonlLogger> logger);
-
   // ---- Live capture (src/capture) -----------------------------------------
-  // Starts the live capture front-end feeding this pipeline (normally via
-  // PipelineBuilder::CaptureFrom). The capture consumer thread becomes the
+  // With PipelineBuilder::CaptureFrom, the capture consumer thread is the
   // coordinator: do not call Push/AdvanceTime/Finish from other threads
-  // while capture runs. Enable tracing before starting capture — the loop
-  // caches the tracer once. Single-shot; throws ConfigError when a source
-  // cannot open or capture was already started.
-  void StartCapture(capture::CaptureConfig config);
-  // Stops the sources and drains everything already captured into the
-  // pipeline (idempotent; Finish and destruction also stop capture). The
-  // open bin stays open — Finish or AdvanceTime closes it.
+  // while capture runs. StopCapture stops the sources and drains everything
+  // already captured into the pipeline (idempotent; Finish and destruction
+  // also stop capture). The open bin stays open — Finish or AdvanceTime
+  // closes it.
   void StopCapture();
-  // The running loop, null before StartCapture. Ephemeral listener ports
+  // The running loop, null without CaptureFrom. Ephemeral listener ports
   // are read back through capture()->port(i).
   const capture::CaptureLoop* capture() const { return capture_.get(); }
   capture::CaptureStats capture_stats() const;
 
   // ---- Real-time robustness (src/rt) --------------------------------------
-  // Attach (or replace) the deadline governor mid-run; the rt configuration
-  // is process-local and deliberately not serialized into snapshots, so a
-  // restored pipeline re-arms through these setters (RestoreOrBuild does it
-  // from the builder's options automatically).
-  void SetDeadline(const rt::GovernorConfig& config);
-  void ClearDeadline();
-  void SetFaultPlan(const rt::FaultPlan& plan);
-  // Throws ConfigError for kBlock (see PipelineBuilder::IngestCap).
-  void SetIngestCap(size_t max_records, rt::OverflowPolicy policy);
-  void SetSinkRetry(const rt::RetryPolicy& policy);
-  // Arms periodic crash-safe checkpoints (empty path disarms). Checkpoints
-  // fire after every `every_bins`-th closed bin, at the next
-  // measurement-interval boundary; failures are logged and counted, never
-  // thrown — losing a checkpoint must not kill the measurement.
-  void SetCheckpoint(std::string path, size_t every_bins);
-
+  // The rt configuration is process-local and deliberately not serialized
+  // into snapshots: RestoreOrBuild takes it from the restoring builder.
+  // Checkpoint failures are logged and counted, never thrown — losing a
+  // checkpoint must not kill the measurement.
   const rt::DeadlineGovernor* governor() const { return governor_.get(); }
   const rt::FaultInjector* fault_injector() const { return injector_.get(); }
   const std::shared_ptr<rt::Clock>& rt_clock() const { return clock_; }
@@ -533,11 +512,13 @@ class Pipeline {
     size_t ref_bins_in_interval = 0;
   };
 
-  Pipeline(const core::SystemConfig& config, core::OracleKind oracle_kind,
-           bool track_accuracy, bool default_min_rates);
-  // The Build() path: validates, constructs, then registers the builder's
-  // pending queries and sinks. Builder stays const — it is reusable.
-  explicit Pipeline(const PipelineBuilder& builder);
+  // The one place a builder's options are applied, for Build() and restore
+  // alike, in a fixed order: queries (then `state`, the rest of a snapshot
+  // stream, when restoring), sinks and logger, clock, rt, tracer, server,
+  // capture. Loading the state before any thread starts means the server
+  // and capture threads never see a half-restored pipeline. The builder
+  // stays const — it is reusable.
+  Pipeline(const PipelineBuilder& builder, obs::SnapshotReader* state);
 
   size_t FindSlot(uint64_t id) const noexcept;  // npos when unknown/removed
   size_t SlotIndex(uint64_t id) const;          // throws std::logic_error when stale
@@ -559,7 +540,8 @@ class Pipeline {
   void EnsureOpen(std::string_view op) const;
   void UpdateTallies(const core::BinLog& log);
   void MaybeCheckpoint();
-  void AttachSinkRt();
+  // Reads the numeric run state that follows the roster in a snapshot.
+  void LoadState(obs::SnapshotReader& r);
   // Recomputes the coordinator-side tallies into the mutex-guarded published
   // copy behind Stats() / the HTTP endpoint.
   PipelineStats ComputeStats() const;
@@ -606,9 +588,8 @@ class Pipeline {
   std::string checkpoint_path_;
   size_t checkpoint_every_ = 0;
   size_t checkpoints_written_ = 0;
-  rt::RetryPolicy sink_retry_;
-  // Owned sinks created from builder paths, remembered so rt attachments
-  // (retry policy, fault injector, metrics) can be re-applied by setters.
+  // Owned sinks created from builder paths, remembered for their quarantine
+  // state in Stats() and /healthz.
   std::vector<class ResilientSinkBase*> rt_sinks_;
 
   std::vector<BinObserver*> observers_;
@@ -631,15 +612,14 @@ class Pipeline {
   // Tracing & HTTP endpoint. The published stats are the only pipeline state
   // the server thread reads besides the (internally thread-safe) metrics
   // registry and tracer rings; the coordinator republishes them after every
-  // mutation. tracer_view_ mirrors tracer_.get() atomically so a mid-run
-  // EnableTracing cannot race a concurrent GET /trace. server_ is declared
-  // last on purpose: it is destroyed (accept thread joined) before anything
-  // its handler dereferences.
+  // mutation. tracer_ is fixed before the server starts, so the handler
+  // reads it without synchronization. server_ is declared last on purpose:
+  // it is destroyed (accept thread joined) before anything its handler
+  // dereferences.
   mutable util::Mutex stats_mutex_;
   PipelineStats published_stats_ SHEDMON_GUARDED_BY(stats_mutex_);
   size_t published_quarantined_sinks_ SHEDMON_GUARDED_BY(stats_mutex_) = 0;
   std::unique_ptr<obs::Tracer> tracer_;
-  std::atomic<obs::Tracer*> tracer_view_{nullptr};
   // Capture front-end, declared just before server_ so destruction stops
   // the HTTP endpoint first, then drains capture, and only then tears down
   // the state both of them read. The loop (and thus slot memory backing any

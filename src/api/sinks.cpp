@@ -52,24 +52,12 @@ ResilientSinkBase::ResilientSinkBase(const std::string& path, std::string name)
     : file_(OpenOrThrow(path)), out_(&file_), name_(std::move(name)) {}
 
 void ResilientSinkBase::EnableResilience(const rt::RetryPolicy& policy,
-                                         std::shared_ptr<rt::Clock> clock) {
-  if (clock == nullptr) {
-    clock = rt::DefaultClock();
-  }
+                                         std::shared_ptr<rt::Clock> clock,
+                                         rt::FaultInjector* injector,
+                                         obs::MetricsRegistry* metrics, obs::JsonlLogger* logger) {
   writer_ = std::make_unique<rt::ResilientWriter>(*out_, policy, std::move(clock));
-  writer_->SetFaultInjector(injector_);
-  writer_->Attach(metrics_, logger_, name_);
-}
-
-void ResilientSinkBase::AttachRt(rt::FaultInjector* injector, obs::MetricsRegistry* metrics,
-                                 obs::JsonlLogger* logger) {
-  injector_ = injector;
-  metrics_ = metrics;
-  logger_ = logger;
-  if (writer_ != nullptr) {
-    writer_->SetFaultInjector(injector_);
-    writer_->Attach(metrics_, logger_, name_);
-  }
+  writer_->SetFaultInjector(injector);
+  writer_->Attach(metrics, logger, name_);
 }
 
 void ResilientSinkBase::WriteRow(const std::string& row) {

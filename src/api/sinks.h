@@ -30,11 +30,11 @@ namespace shedmon::api {
 // owns the stream and the optional resilient writer in front of it.
 class ResilientSinkBase : public BinObserver {
  public:
-  void EnableResilience(const rt::RetryPolicy& policy, std::shared_ptr<rt::Clock> clock);
-  // Fault-injection + observability hooks for the resilient writer; no-op
-  // until EnableResilience was called. Borrowed pointers, null detaches.
-  void AttachRt(rt::FaultInjector* injector, obs::MetricsRegistry* metrics,
-                obs::JsonlLogger* logger);
+  // `clock` drives the retry backoff. The fault injector, metrics registry
+  // and logger are borrowed; null leaves the writer without that hook.
+  void EnableResilience(const rt::RetryPolicy& policy, std::shared_ptr<rt::Clock> clock,
+                        rt::FaultInjector* injector, obs::MetricsRegistry* metrics,
+                        obs::JsonlLogger* logger);
 
   bool quarantined() const { return writer_ != nullptr && writer_->quarantined(); }
   uint64_t write_retries() const { return writer_ != nullptr ? writer_->retries() : 0; }
@@ -54,9 +54,6 @@ class ResilientSinkBase : public BinObserver {
   std::ostream* out_;
   std::string name_;
   std::unique_ptr<rt::ResilientWriter> writer_;
-  rt::FaultInjector* injector_ = nullptr;
-  obs::MetricsRegistry* metrics_ = nullptr;
-  obs::JsonlLogger* logger_ = nullptr;
 };
 
 // One CSV row per bin with the BinLog's scalar fields plus derived stats.

@@ -21,6 +21,7 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "src/api/pipeline.h"
 #include "src/obs/snapshot.h"
@@ -171,40 +172,45 @@ void Pipeline::Snapshot(const std::string& path) const {
   }
 }
 
-std::unique_ptr<Pipeline> PipelineBuilder::Restore(std::istream& in) {
+std::unique_ptr<Pipeline> PipelineBuilder::RestoreFrom(std::istream& in) const {
   obs::SnapshotReader r(in);
   r.Magic();
-  const core::SystemConfig config = ReadSystemConfig(r);
-  const auto oracle = static_cast<core::OracleKind>(CheckedEnum(r.U8(), 1, "oracle"));
-  const bool track_accuracy = r.Bool();
-  const bool default_min_rates = r.Bool();
+  PipelineBuilder builder = *this;
+  builder.config_ = ReadSystemConfig(r);
+  builder.oracle_ = static_cast<core::OracleKind>(CheckedEnum(r.U8(), 1, "oracle"));
+  builder.track_accuracy_ = r.Bool();
+  builder.default_min_rates_ = r.Bool();
 
-  auto pipeline = std::unique_ptr<Pipeline>(
-      new Pipeline(config, oracle, track_accuracy, default_min_rates));
-
-  // Recreate the roster in registration order. AddQuery consumes system RNG
-  // draws for the samplers, but LoadState below overwrites the RNG and every
-  // sampler state wholesale, so the draw count here is irrelevant.
+  // The snapshot's roster, in registration order, replaces the builder's.
+  builder.queries_.clear();
   const uint64_t n = r.U64();
   for (uint64_t q = 0; q < n; ++q) {
-    const std::string name = r.Str();
-    core::QueryConfig qc;
-    qc.min_sampling_rate = r.F64();
-    qc.allow_custom_shedding = r.Bool();
+    PendingQuery pending;
+    pending.name = r.Str();
+    pending.config.min_sampling_rate = r.F64();
+    pending.config.allow_custom_shedding = r.Bool();
+    pending.has_config = true;
     try {
-      pipeline->AddQuery(name, qc);
+      (void)query::MakeQuery(pending.name);
     } catch (const std::invalid_argument& e) {
-      throw obs::SnapshotError("PipelineBuilder::Restore: cannot recreate query '" + name +
-                               "': " + e.what());
+      throw obs::SnapshotError("PipelineBuilder::Restore: cannot recreate query '" +
+                               pending.name + "': " + e.what());
     }
+    builder.queries_.push_back(std::move(pending));
   }
+  return std::unique_ptr<Pipeline>(new Pipeline(builder, &r));
+}
 
-  pipeline->system_->LoadState(r);
-  pipeline->open_bin_ = r.U64();
-  pipeline->bins_processed_ = static_cast<size_t>(r.U64());
-  pipeline->next_id_ = r.U64();
+void Pipeline::LoadState(obs::SnapshotReader& r) {
+  system_->LoadState(r);
+  open_bin_ = r.U64();
+  bins_processed_ = static_cast<size_t>(r.U64());
+  next_id_ = r.U64();
   r.Trailer();
-  return pipeline;
+}
+
+std::unique_ptr<Pipeline> PipelineBuilder::Restore(std::istream& in) {
+  return PipelineBuilder().RestoreFrom(in);
 }
 
 std::unique_ptr<Pipeline> PipelineBuilder::Restore(const std::string& path) {

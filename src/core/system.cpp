@@ -462,8 +462,7 @@ void MonitoringSystem::RunShardWaves(const trace::Batch& batch, std::vector<Quer
                                             e.ranges[task.shard].begin,
                                             e.ranges[task.shard].end);
         e.shard_cycles[task.shard] = static_cast<double>(timer.Elapsed());
-      },
-      nullptr);
+      });
   // Wave 3: fold the partials (per query, in shard-index order) and finish
   // the per-query pipeline; only the sharded queries have work left.
   executor_.SetTraceStage(obs::Stage::kQuery);
@@ -472,8 +471,7 @@ void MonitoringSystem::RunShardWaves(const trace::Batch& batch, std::vector<Quer
       [&](size_t i) {
         const size_t q = sharded[i];
         ExecuteQueryPost(*queries_[q], batch, ex[q], results[q]);
-      },
-      nullptr);
+      });
 }
 
 MonitoringSystem::QueryTaskResult MonitoringSystem::ExecuteCustom(QueryRuntime& qr,
@@ -668,8 +666,7 @@ void MonitoringSystem::RunPredictive(const trace::Batch& batch, BinLog& log) {
         if (!ex[q].sharded()) {
           ExecuteQueryPost(qr, batch, ex[q], results[q]);
         }
-      },
-      nullptr);
+      });
   RunShardWaves(batch, ex, results);
   for (size_t q = 0; q < n; ++q) {
     if (!plan[q].execute) {
@@ -746,8 +743,7 @@ void MonitoringSystem::RunReactive(const trace::Batch& batch, BinLog& log) {
         if (!ex[q].sharded()) {
           ExecuteQueryPost(*queries_[q], batch, ex[q], results[q]);
         }
-      },
-      nullptr);
+      });
   RunShardWaves(batch, ex, results);
   for (size_t q = 0; q < n; ++q) {
     const QueryTaskResult& r = results[q];
@@ -783,8 +779,7 @@ void MonitoringSystem::RunNoShed(const trace::Batch& batch, BinLog& log) {
         if (!ex[q].sharded()) {
           ExecuteQueryPost(*queries_[q], batch, ex[q], results[q]);
         }
-      },
-      nullptr);
+      });
   RunShardWaves(batch, ex, results);
   for (size_t q = 0; q < n; ++q) {
     log.per_query_cycles[q] = results[q].used;

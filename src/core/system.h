@@ -87,7 +87,7 @@ struct SystemConfig {
   // single-threaded behavior. Any value yields bit-identical BinLogs and
   // accuracies under the deterministic model oracle: per-query work fans out
   // over an exec::ThreadPool while cost charges are sequenced and BinLog
-  // merges replayed in registration order (see exec::QueryExecutor).
+  // merges folded on the coordinator in registration order.
   size_t num_threads = 0;
   // Upper bound on intra-query data parallelism: how many shards one query's
   // bin batch may be split into when the query implements

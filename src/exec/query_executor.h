@@ -27,31 +27,26 @@ struct ShardRange {
 };
 
 // Shards index-addressed units of work (one per registered query, in
-// shedmon's main use) across a ThreadPool, then replays a merge step for
-// every index *in order 0..n-1* on the calling thread.
+// shedmon's main use) across a ThreadPool and waits for all of them.
 //
 // This is the primitive that keeps parallel pipelines bit-identical to their
 // serial equivalents: tasks may run in any order on any worker as long as
 // they only touch state owned by their index (plus explicitly thread-safe
-// shared services such as the sequenced cost oracle), while everything
+// shared services such as the sequenced cost oracle). Everything
 // order-sensitive — accumulating BinLog cycle counters, appending rows,
-// updating EWMA smoothers — happens in the merge callback, which observes
-// exactly the serial order.
+// updating EWMA smoothers — is folded by the caller after Run returns, in
+// index order.
 //
 // With a null pool (or n <= 1) the executor degrades to a plain serial loop
-// running task(i); merge(i) per index, so callers need no separate serial
-// code path.
+// running task(i) per index, so callers need no separate serial code path.
 class QueryExecutor {
  public:
   // Does not take ownership of `pool`; pass nullptr for inline execution.
   explicit QueryExecutor(ThreadPool* pool) : pool_(pool) {}
 
-  // Runs task(i) for i in [0, n) (on the pool when available), waits for all
-  // of them, then runs merge(i) for i = 0..n-1 on the calling thread.
-  // Exceptions from tasks propagate after all tasks finished; merge is only
-  // invoked when every task succeeded. Either callback may be empty.
-  void Run(size_t n, const std::function<void(size_t)>& task,
-           const std::function<void(size_t)>& merge) const;
+  // Runs task(i) for i in [0, n) (on the pool when available) and waits for
+  // all of them. Exceptions from tasks propagate after all tasks finished.
+  void Run(size_t n, const std::function<void(size_t)>& task) const;
 
   bool parallel() const { return pool_ != nullptr; }
   ThreadPool* pool() const { return pool_; }
@@ -71,9 +66,8 @@ class QueryExecutor {
 
   // Optional span tracing: when a tracer is set, every task of a Run wave is
   // recorded as one span (arg = task index) under the stage the coordinator
-  // announced with SetTraceStage before dispatching the wave, and the ordered
-  // merge replay is recorded as a single merge span. Borrowed pointer; null
-  // disables. Like the metrics, spans are write-only — they never influence
+  // announced with SetTraceStage before dispatching the wave. Borrowed
+  // pointer; null disables. Like the metrics, spans are write-only — they never influence
   // planning — so traced runs stay bit-identical.
   void SetTracer(obs::Tracer* tracer) { tracer_ = tracer; }
   void SetTraceStage(obs::Stage stage) { trace_stage_ = stage; }

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -946,15 +947,16 @@ TEST(PipelineMetrics, RegistryMirrorsTheBinLogTallies) {
 }
 
 TEST(PipelineApi, JsonlEventLogRecordsTheLifecycle) {
-  std::ostringstream out;
-  auto pipeline = api::PipelineBuilder().BuildUnique();
-  pipeline->SetLogger(std::make_unique<obs::JsonlLogger>(out));
+  const std::string path = ::testing::TempDir() + "shedmon_api_event_log.jsonl";
+  auto pipeline = api::PipelineBuilder().LogTo(path).BuildUnique();
   api::QueryHandle counter = pipeline->AddQuery("counter");
   pipeline->AdvanceTime(2 * 100'000);
   pipeline->Remove(counter);
   pipeline->Finish();
 
-  const std::string text = out.str();
+  std::ifstream in(path);
+  const std::string text((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  std::remove(path.c_str());
   EXPECT_NE(text.find("{\"event\":\"query_added\""), std::string::npos);
   EXPECT_NE(text.find("\"query\":\"counter\""), std::string::npos);
   EXPECT_NE(text.find("{\"event\":\"bin_closed\""), std::string::npos);

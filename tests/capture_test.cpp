@@ -387,11 +387,8 @@ TEST(Capture, BuildRejectsTakenListenerPort) {
   ::close(fd);
 }
 
-TEST(Capture, StartCaptureIsSingleShot) {
+TEST(Capture, StopCaptureIsIdempotent) {
   auto pipeline = BuildLive(0, 1, capture::SourceSpec::Udp(0));
-  capture::CaptureConfig cc;
-  cc.sources.push_back(capture::SourceSpec::Udp(0));
-  EXPECT_THROW(pipeline->StartCapture(cc), api::ConfigError);
   pipeline->StopCapture();
   pipeline->StopCapture();  // idempotent
   pipeline->Finish();

@@ -1,5 +1,5 @@
 // src/exec/ tests: ThreadPool semantics (ordering, exception propagation,
-// zero-task and one-worker edges), QueryExecutor's ordered merge, and the
+// zero-task and one-worker edges), QueryExecutor's task fan-out, and the
 // subsystem's headline property — parallel pipelines are bit-identical to
 // serial ones at every thread count, for every shedder kind.
 
@@ -140,53 +140,31 @@ TEST(ThreadPoolTest, ParallelForRethrowsFirstIterationError) {
 // QueryExecutor
 // ---------------------------------------------------------------------------
 
-TEST(QueryExecutorTest, MergeRunsInIndexOrderAfterAllTasks) {
-  exec::ThreadPool pool(4);
-  exec::QueryExecutor executor(&pool);
-  std::atomic<int> tasks_done{0};
-  std::vector<size_t> merge_order;
-  executor.Run(
-      25, [&](size_t) { tasks_done.fetch_add(1); },
-      [&](size_t i) {
-        EXPECT_EQ(tasks_done.load(), 25);  // merge starts only after the barrier
-        merge_order.push_back(i);
-      });
-  std::vector<size_t> expected(25);
-  std::iota(expected.begin(), expected.end(), 0);
-  EXPECT_EQ(merge_order, expected);
-}
-
 TEST(QueryExecutorTest, NullPoolRunsInline) {
   exec::QueryExecutor executor(nullptr);
   EXPECT_FALSE(executor.parallel());
   std::vector<std::string> events;
-  executor.Run(
-      2, [&](size_t i) { events.push_back("task" + std::to_string(i)); },
-      [&](size_t i) { events.push_back("merge" + std::to_string(i)); });
-  EXPECT_EQ(events, (std::vector<std::string>{"task0", "task1", "merge0", "merge1"}));
+  executor.Run(2, [&](size_t i) { events.push_back("task" + std::to_string(i)); });
+  EXPECT_EQ(events, (std::vector<std::string>{"task0", "task1"}));
 }
 
-TEST(QueryExecutorTest, TaskFailureSkipsMerge) {
+TEST(QueryExecutorTest, TaskFailurePropagates) {
   exec::ThreadPool pool(2);
   exec::QueryExecutor executor(&pool);
-  bool merged = false;
-  EXPECT_THROW(executor.Run(
-                   4,
-                   [](size_t i) {
-                     if (i == 2) {
-                       throw std::runtime_error("task failed");
-                     }
-                   },
-                   [&](size_t) { merged = true; }),
+  EXPECT_THROW(executor.Run(4,
+                            [](size_t i) {
+                              if (i == 2) {
+                                throw std::runtime_error("task failed");
+                              }
+                            }),
                std::runtime_error);
-  EXPECT_FALSE(merged);
 }
 
 TEST(QueryExecutorTest, ZeroTasksIsANoOp) {
   exec::ThreadPool pool(2);
   exec::QueryExecutor executor(&pool);
   int calls = 0;
-  executor.Run(0, [&](size_t) { ++calls; }, [&](size_t) { ++calls; });
+  executor.Run(0, [&](size_t) { ++calls; });
   EXPECT_EQ(calls, 0);
 }
 

@@ -18,11 +18,13 @@ cd "$WORK"
 # Every bin stalls 50 ms of real wall-clock (the fault plan runs against the
 # default SystemClock), so the 40-bin run lasts ~2 s — a deterministic window
 # for the mid-run signal — and blows the 40 ms deadline budget in every bin.
+# Checkpoints every 30 bins, so the last one (bin 30) leaves ten bins for
+# the --restore leg below to replay.
 "$CLI" run trace.smt --queries counter,flows --k 0.5 \
   --csv bins.csv --sink-retries 3 \
   --fault-plan "seed=7,sink_fail_n=2,stall_every=1:50000" \
   --deadline 0.4 \
-  --checkpoint state.ckpt --metrics-out metrics.prom \
+  --checkpoint state.ckpt --checkpoint-every 30 --metrics-out metrics.prom \
   >run.out 2>run.err &
 pid=$!
 
@@ -47,10 +49,17 @@ grep -Eq 'rt: [1-9][0-9]* deadline misses' run.out || {
   echo "FAIL: rt summary line missing from run output"; cat run.out; exit 1; }
 
 # Crash recovery: a fresh process resumes from the surviving checkpoint and
-# replays only the remaining bins (no stalls this time, so it is quick).
+# replays only the remaining bins (no stalls this time, so it is quick). The
+# resumed run keeps the sink, its retry wrapper and the fault plan.
 "$CLI" run trace.smt --queries counter,flows --k 0.5 \
-  --checkpoint state.ckpt --restore >restore.out 2>restore.err
+  --checkpoint state.ckpt --restore \
+  --csv resumed.csv --sink-retries 3 --fault-plan "seed=7,sink_fail_n=2" \
+  --metrics-out resumed.prom >restore.out 2>restore.err
 grep -q 'restored state.ckpt, resuming at bin' restore.err || {
   echo "FAIL: --restore did not resume from the checkpoint"; cat restore.err; exit 1; }
+[ "$(wc -l <resumed.csv)" -gt 1 ] || {
+  echo "FAIL: the resumed run's csv sink produced no rows"; cat resumed.csv; exit 1; }
+grep -q 'shedmon_rt_sink_retries_total{sink="csv"} [1-9]' resumed.prom || {
+  echo "FAIL: the resumed run's sink faults were not retried"; cat resumed.prom; exit 1; }
 
 echo "robustness smoke: OK"

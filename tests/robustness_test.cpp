@@ -180,6 +180,47 @@ TEST(Robustness, LadderDecaysToCleanAfterTheOverloadPasses) {
   EXPECT_EQ(pipeline->Stats().deadline_misses, 2u);
 }
 
+// A reference instance that stalls the clock for `stall_us` on every batch:
+// unsampled ground-truth work, which the probe's deadline must not pay for.
+class StallingReference final : public query::Query {
+ public:
+  StallingReference(std::shared_ptr<rt::ManualClock> clock, uint64_t stall_us)
+      : query::Query("counter", 10), clock_(std::move(clock)), stall_us_(stall_us) {}
+
+ protected:
+  void OnBatch(const query::BatchInput& /*in*/) override { clock_->Advance(stall_us_); }
+  void OnEndInterval(size_t /*interval_index*/) override {}
+
+ private:
+  std::shared_ptr<rt::ManualClock> clock_;
+  uint64_t stall_us_;
+};
+
+TEST(Robustness, ReferenceStallIsNotADeadlineMiss) {
+  constexpr uint64_t kBinUs = 100'000;
+  const auto run = [](bool governed) {
+    auto clock = std::make_shared<rt::ManualClock>();
+    api::PipelineBuilder builder;
+    builder.Config(BaseConfig(0, 1)).RtClock(clock);
+    if (governed) {
+      builder.Deadline(0.9);
+    }
+    auto pipeline = builder.BuildUnique();
+    pipeline->AddQuery(query::MakeQuery("counter"), {},
+                       std::make_unique<StallingReference>(clock, 2 * kBinUs));
+    pipeline->Push(RobustnessTrace());
+    pipeline->Finish();
+    // The stall really happened, once per closed bin.
+    EXPECT_EQ(clock->NowUs(), 2 * kBinUs * pipeline->log().size());
+    return pipeline;
+  };
+  const auto governed = run(true);
+  const auto plain = run(false);
+  ASSERT_NE(governed->governor(), nullptr);
+  EXPECT_EQ(governed->governor()->deadline_misses(), 0u);
+  ExpectBinLogsIdentical(plain->log(), governed->log());
+}
+
 // ---------------------------------------------------------------------------
 // No-fault bit-identity: the rt layer must be invisible until it fires
 // ---------------------------------------------------------------------------
@@ -298,8 +339,6 @@ TEST(Robustness, IngestCapRejectsTheBlockPolicy) {
   // Push is synchronous: a "blocking" cap could never block, only absorb.
   EXPECT_THROW(api::PipelineBuilder().IngestCap(10, rt::OverflowPolicy::kBlock).BuildUnique(),
                ConfigError);
-  auto pipeline = api::PipelineBuilder().BuildUnique();
-  EXPECT_THROW(pipeline->SetIngestCap(10, rt::OverflowPolicy::kBlock), ConfigError);
 }
 
 // ---------------------------------------------------------------------------
@@ -444,6 +483,111 @@ TEST(Robustness, RestoreOrBuildFallsBackPastMissingOrCorruptCheckpoints) {
   auto fallback = builder.RestoreOrBuild(path);
   EXPECT_EQ(fallback->next_bin(), 0u);
   std::remove(path.c_str());
+}
+
+std::vector<std::string> ReadLines(const std::string& path) {
+  std::ifstream in(path);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) {
+    lines.push_back(line);
+  }
+  return lines;
+}
+
+// Runs a checkpointing pipeline from `builder` until it is abandoned
+// mid-bin-24, after its bin-20 checkpoint.
+void RunVictimPastBin20(const api::PipelineBuilder& builder) {
+  auto victim = builder.BuildUnique();
+  for (const net::PacketRecord& packet : RobustnessTrace().packets) {
+    if (packet.ts_us >= 2'450'000) {
+      break;
+    }
+    victim->Push(net::Packet::View(packet));
+  }
+  EXPECT_EQ(victim->checkpoints_written(), 2u);
+}
+
+// A restored pipeline is configured by the restoring builder exactly like a
+// fresh one: its CSV/JSONL sinks (with the retry wrapper and fault injector)
+// and its event log stream the resumed bins.
+TEST(Robustness, RestoreOrBuildKeepsTheBuildersSinksAndLog) {
+  const std::string base = ::testing::TempDir() + "shedmon_robustness_keep";
+  const std::string checkpoint = base + ".bin";
+  const std::string csv = base + ".csv";
+  const std::string jsonl = base + ".jsonl";
+  const std::string log = base + ".log";
+  std::remove(checkpoint.c_str());
+  rt::RetryPolicy retry;
+  retry.max_retries = 3;
+  api::PipelineBuilder builder;
+  builder.Config(BaseConfig(0, 1))
+      .AddQuery("counter")
+      .AddQuery("flows")
+      .CsvTo(csv)
+      .JsonlTo(jsonl)
+      .LogTo(log)
+      .RtClock(std::make_shared<rt::ManualClock>())
+      .InjectFaults(rt::FaultPlan::Parse("sink_fail_n=2"))
+      .SinkRetry(retry)
+      .CheckpointTo(checkpoint)
+      .CheckpointEvery(10);
+  RunVictimPastBin20(builder);
+
+  auto restored = builder.RestoreOrBuild(checkpoint);
+  ASSERT_EQ(restored->next_bin(), 20u);
+  const uint64_t resume_us = restored->next_bin() * restored->time_bin_us();
+  for (const net::PacketRecord& packet : RobustnessTrace().packets) {
+    if (packet.ts_us >= resume_us) {
+      restored->Push(net::Packet::View(packet));
+    }
+  }
+  restored->Finish();
+  const std::vector<core::BinLog>& bins = restored->log();
+  ASSERT_GT(bins.size(), 1u);
+  EXPECT_GT(CounterValue(restored->Metrics(), "shedmon_rt_sink_retries_total"), 0.0);
+
+  // CSV: header, then one row per resumed bin from the resume time on.
+  const std::vector<std::string> csv_lines = ReadLines(csv);
+  ASSERT_EQ(csv_lines.size(), 1 + bins.size());
+  const auto csv_start_us = [](const std::string& row) {
+    const size_t first = row.find(',');
+    return std::stoull(row.substr(first + 1, row.find(',', first + 1) - first - 1));
+  };
+  EXPECT_EQ(csv_start_us(csv_lines[1]), resume_us);
+  EXPECT_EQ(csv_start_us(csv_lines.back()), bins.back().start_us);
+
+  // JSONL: the same rows.
+  const std::vector<std::string> jsonl_lines = ReadLines(jsonl);
+  ASSERT_EQ(jsonl_lines.size(), bins.size());
+  EXPECT_NE(jsonl_lines.front().find("\"start_us\":" + std::to_string(resume_us) + ","),
+            std::string::npos);
+  EXPECT_NE(jsonl_lines.back().find("\"start_us\":" + std::to_string(bins.back().start_us) + ","),
+            std::string::npos);
+
+  // Event log: the resumed run's lifecycle through finish.
+  bool finished = false;
+  for (const std::string& line : ReadLines(log)) {
+    finished = finished || line.find("{\"event\":\"finish\"") != std::string::npos;
+  }
+  EXPECT_TRUE(finished);
+  for (const std::string& path : {checkpoint, csv, jsonl, log}) {
+    std::remove(path.c_str());
+  }
+}
+
+// RestoreOrBuild validates the builder before reading the checkpoint, like
+// Build does: a valid checkpoint does not excuse an unwritable sink path.
+TEST(Robustness, RestoreOrBuildValidatesBeforeRestoring) {
+  const std::string checkpoint = ::testing::TempDir() + "shedmon_robustness_validate.bin";
+  std::remove(checkpoint.c_str());
+  api::PipelineBuilder builder;
+  builder.Config(BaseConfig(0, 1)).AddQuery("counter").CheckpointTo(checkpoint).CheckpointEvery(10);
+  RunVictimPastBin20(builder);
+  ASSERT_NO_THROW(api::PipelineBuilder::Restore(checkpoint));
+
+  builder.CsvTo(::testing::TempDir() + "shedmon_no_such_dir/bins.csv");
+  EXPECT_THROW(builder.RestoreOrBuild(checkpoint), ConfigError);
+  std::remove(checkpoint.c_str());
 }
 
 // An injected checkpoint corruption (bit flip as the file is written) must

@@ -26,7 +26,6 @@
 
 #include "src/api/config.h"
 #include "src/api/pipeline.h"
-#include "src/api/sinks.h"
 #include "src/capture/capture.h"
 #include "src/capture/replay.h"
 #include "src/obs/prometheus.h"
@@ -460,14 +459,6 @@ int CmdRun(const Flags& flags) {
                    flags.Get("checkpoint").c_str(),
                    static_cast<unsigned long long>(pipeline->next_bin()),
                    static_cast<double>(resume_us) * 1e-6);
-      // Builder sinks only attach on fresh builds; re-add them so the
-      // resumed run keeps streaming rows (without the rt retry wrapper).
-      if (flags.Has("csv")) {
-        pipeline->AddObserver(std::make_unique<CsvBinSink>(flags.Get("csv")));
-      }
-      if (flags.Has("jsonl")) {
-        pipeline->AddObserver(std::make_unique<JsonlBinSink>(flags.Get("jsonl")));
-      }
     }
   } else {
     pipeline = builder.BuildUnique();

@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the per-packet primitives whose
 // "deterministic worst-case cost" the paper's design relies on (§3.2.1):
-// H3 hashing (fused and per-aggregate), bitmap counting, feature extraction,
-// FCBF + MLR fitting, samplers, Boyer-Moore, the allocation strategies, and
-// a whole-pipeline packets/sec run.
+// H3 hashing (fused and per-aggregate), bitmap counting, feature extraction
+// and per-query re-extraction, FCBF + MLR fitting, samplers, Boyer-Moore,
+// the allocation strategies, and a whole-pipeline packets/sec run.
 //
 // Run with --benchmark_out=<file> --benchmark_out_format=json to produce the
 // machine-readable results that BENCH_*.json baselines are built from (see
@@ -56,6 +56,33 @@ const trace::Batch& SharedBatch() {
     return b;
   }();
   return batch;
+}
+
+// SharedBatch with every packet given its own 5-tuple: the shape of a
+// spoofed SYN flood, and the tuple index's worst case (no packet repeats a
+// tuple, so every packet is hashed and folded in full).
+const trace::PacketVec& AllDistinctBatch() {
+  static const std::vector<net::PacketRecord> records = [] {
+    std::vector<net::PacketRecord> out;
+    util::Rng rng(10);
+    for (const net::Packet& pkt : SharedBatch().packets) {
+      net::PacketRecord rec = *pkt.rec;
+      rec.tuple.src_ip = static_cast<uint32_t>(out.size()) * 2654435761u;
+      rec.tuple.src_port = static_cast<uint16_t>(rng.NextU64());
+      out.push_back(rec);
+    }
+    return out;
+  }();
+  static const trace::PacketVec packets = [] {
+    trace::PacketVec out;
+    for (const net::PacketRecord& rec : records) {
+      net::Packet p;
+      p.rec = &rec;
+      out.push_back(p);
+    }
+    return out;
+  }();
+  return packets;
 }
 
 void BM_H3Hash(benchmark::State& state) {
@@ -145,18 +172,36 @@ void BM_FeatureExtraction(benchmark::State& state) {
 }
 BENCHMARK(BM_FeatureExtraction);
 
-// The pre-fusion extraction path, kept as the regression reference for the
-// fused Extract (BM_FeatureExtraction above).
-void BM_FeatureExtractionUnfused(benchmark::State& state) {
+void BM_FeatureExtractionAllDistinct(benchmark::State& state) {
   features::FeatureExtractor extractor;
-  const auto& packets = SharedBatch().packets;
+  const auto& packets = AllDistinctBatch();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(extractor.ExtractReference(packets));
+    benchmark::DoNotOptimize(extractor.Extract(packets));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(packets.size()));
 }
-BENCHMARK(BM_FeatureExtractionUnfused);
+BENCHMARK(BM_FeatureExtractionAllDistinct);
+
+// One query's re-extraction in the predictive path: the shared extraction
+// has indexed the batch, the query kept 26% of it (packet sampling), and its
+// own extractor folds the index's cached hashes over the kept positions.
+// Items are kept packets.
+void BM_ReExtraction(benchmark::State& state) {
+  const auto& packets = SharedBatch().packets;
+  features::FeatureExtractor shared;
+  (void)shared.Extract(packets);
+  shed::PacketSampler sampler(11);
+  std::vector<uint32_t> positions;
+  sampler.SelectInto(packets.size(), 0.26, positions);
+  features::FeatureExtractor extractor;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(extractor.Extract(shared.index(), positions));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(positions.size()));
+}
+BENCHMARK(BM_ReExtraction);
 
 void BM_MlrFitAndPredict(benchmark::State& state) {
   predict::MlrPredictor::Config cfg;
@@ -246,6 +291,50 @@ void BM_FlowSamplerInto(benchmark::State& state) {
                           static_cast<int64_t>(packets.size()));
 }
 BENCHMARK(BM_FlowSamplerInto);
+
+void BM_FlowSamplerIntoAllDistinct(benchmark::State& state) {
+  shed::FlowSampler sampler(7);
+  const auto& packets = AllDistinctBatch();
+  trace::PacketVec out;
+  for (auto _ : state) {
+    sampler.SampleInto(packets, 0.5, out);
+    benchmark::DoNotOptimize(out.size());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(packets.size()));
+}
+BENCHMARK(BM_FlowSamplerIntoAllDistinct);
+
+// Flow sampling as the predictive path runs it: the shared extraction has
+// indexed the batch (outside the timed loop, it is charged to extraction),
+// the sampler hashes each distinct tuple once and the kept positions are
+// gathered into a reused buffer. Compare with BM_FlowSamplerInto*, which
+// hash every packet.
+void FlowSamplerSelect(benchmark::State& state, const trace::PacketVec& packets) {
+  features::FeatureExtractor shared;
+  (void)shared.Extract(packets);
+  const features::TupleIndex& index = shared.index();
+  shed::FlowSampler sampler(7);
+  std::vector<uint32_t> positions;
+  trace::PacketVec out;
+  for (auto _ : state) {
+    sampler.SelectInto(index.tuples, index.tuple_of, 0.5, positions);
+    shed::Gather(packets, positions, out);
+    benchmark::DoNotOptimize(out.size());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(packets.size()));
+}
+
+void BM_FlowSamplerSelect(benchmark::State& state) {
+  FlowSamplerSelect(state, SharedBatch().packets);
+}
+BENCHMARK(BM_FlowSamplerSelect);
+
+void BM_FlowSamplerSelectAllDistinct(benchmark::State& state) {
+  FlowSamplerSelect(state, AllDistinctBatch());
+}
+BENCHMARK(BM_FlowSamplerSelectAllDistinct);
 
 void BM_BoyerMoore(benchmark::State& state) {
   const query::BoyerMoore matcher("GET / HTTP/1.1");

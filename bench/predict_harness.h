@@ -58,6 +58,10 @@ inline PredictionRun RunPredictionExperiment(const trace::Trace& trace,
                                              size_t warmup_batches = 10) {
   PredictionRun run;
   auto query = query::MakeQuery(query_name);
+  // The oracle outlives this experiment and keys its per-query work baseline
+  // by address; a fresh query may reuse a finished one's address, so
+  // baseline it explicitly or its first charge depends on heap layout.
+  oracle.OnQueryAdded(query.get());
   auto predictor = predict::MakePredictor(config);
   features::FeatureExtractor extractor;
 

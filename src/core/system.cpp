@@ -141,7 +141,7 @@ query::Query& MonitoringSystem::AddQuery(std::unique_ptr<query::Query> query,
       std::move(query), config,
       predict::PredictionEngine(config_.predictor, config_.extractor),
       shed::PacketSampler(rng_.NextU64()), shed::FlowSampler(rng_.NextU64()),
-      shed::EnforcementPolicy(config_.enforcement), 0, 0.0, {}});
+      shed::EnforcementPolicy(config_.enforcement), 0, 0.0});
   queries_.push_back(std::move(runtime));
   // Baseline the oracle's per-query bookkeeping: a no-op for fresh
   // instances, and what keeps a re-registered veteran instance charged only
@@ -299,8 +299,7 @@ void MonitoringSystem::ApplyDegradation(std::vector<double>& rate,
   }
 }
 
-uint64_t MonitoringSystem::PlanOracleCalls(double rate, bool update_history,
-                                           bool has_shared_features) {
+uint64_t MonitoringSystem::PlanOracleCalls(double rate, bool update_history) {
   rate = std::clamp(rate, 0.0, 1.0);
   const bool sampled = rate < 1.0 - kEps;
   uint64_t calls = 1;  // the query itself
@@ -309,7 +308,7 @@ uint64_t MonitoringSystem::PlanOracleCalls(double rate, bool update_history,
   }
   if (update_history) {
     ++calls;  // model fit
-    if (sampled || !has_shared_features) {
+    if (sampled) {
       ++calls;  // re-extraction (shared extraction reused at full rate)
     }
   }
@@ -321,42 +320,48 @@ uint64_t MonitoringSystem::PlanCustomOracleCalls(double rate) {
 }
 
 void MonitoringSystem::ExecuteQueryPre(QueryRuntime& qr, const trace::Batch& batch, double rate,
-                                       bool update_history,
-                                       const features::FeatureVector* shared_features,
-                                       uint64_t base_seq, QueryExec& ex,
-                                       QueryTaskResult& result) {
+                                       const SharedExtraction* shared, uint64_t base_seq,
+                                       QueryExec& ex, QueryTaskResult& result) {
   rate = std::clamp(rate, 0.0, 1.0);
   ex.rate = rate;
-  ex.update_history = update_history;
+  ex.update_history = shared != nullptr;
   ex.packets = &batch.packets;
-  if (rate < 1.0 - kEps) {
+  const bool sampled = rate < 1.0 - kEps;
+  if (sampled) {
+    const bool flow = qr.query->preferred_sampling() == query::SamplingMethod::kFlow;
     WorkHint sample_hint{qr.query.get(), &batch.packets, 0.0};
     result.AddCharge(/*ls=*/true,
                      oracle_->RunAt(base_seq++, WorkKind::kSampling, sample_hint, [&] {
-                       if (qr.query->preferred_sampling() == query::SamplingMethod::kFlow) {
+                       if (flow && shared == nullptr) {
                          qr.flow_sampler.SampleInto(batch.packets, rate, qr.sample_buf);
-                       } else {
-                         qr.pkt_sampler.SampleInto(batch.packets, rate, qr.sample_buf);
+                         return;
                        }
+                       if (flow) {
+                         qr.flow_sampler.SelectInto(shared->index->tuples,
+                                                    shared->index->tuple_of, rate, qr.positions);
+                       } else {
+                         qr.pkt_sampler.SelectInto(batch.size(), rate, qr.positions);
+                       }
+                       shed::Gather(batch.packets, qr.positions, qr.sample_buf);
                      }));
     ex.packets = &qr.sample_buf;
   }
 
   // Re-extract features on the batch the query actually processes so the
-  // regression history stays consistent (Alg. 1 line 12); charged to the
-  // load shedding subsystem when sampling was applied. At full rate the
-  // prediction-stage extraction is reused when available (§3.4.4 sharing).
-  // Reactive mode keeps no history and skips this entirely.
-  if (update_history) {
-    if (rate >= 1.0 - kEps && shared_features != nullptr) {
-      ex.features = *shared_features;
+  // regression history stays consistent (Alg. 1 line 12), folding the
+  // shared index's cached hashes over the kept positions; charged to the
+  // load shedding subsystem. At full rate the shared extraction is reused
+  // (§3.4.4 sharing). Reactive mode keeps no history and skips this entirely.
+  if (shared != nullptr) {
+    if (!sampled) {
+      ex.features = shared->features;
     } else {
       WorkHint extract_hint{qr.query.get(), ex.packets, 0.0};
-      const double extract_cycles =
-          oracle_->RunAt(base_seq++, WorkKind::kFeatureExtraction, extract_hint, [&] {
-            ex.features = qr.engine.extractor().Extract(*ex.packets);
-          });
-      result.AddCharge(/*ls=*/rate < 1.0 - kEps, extract_cycles);
+      result.AddCharge(/*ls=*/true,
+                       oracle_->RunAt(base_seq++, WorkKind::kFeatureExtraction, extract_hint, [&] {
+                         ex.features = qr.engine.extractor().Extract(*shared->index,
+                                                                     qr.positions);
+                       }));
     }
   }
   ex.next_seq = base_seq;
@@ -419,8 +424,9 @@ void MonitoringSystem::ExecuteQueryPost(QueryRuntime& qr, const trace::Batch& ba
       (static_cast<double>(batch.size()) - static_cast<double>(ex.packets->size())) /
       std::max<double>(1.0, static_cast<double>(queries_.size()));
   // Drop the sampled view before the batch (and its payload arena) can be
-  // recycled; the buffer keeps its capacity for the next bin.
+  // recycled; the buffers keep their capacity for the next bin.
   qr.sample_buf.clear();
+  qr.positions.clear();
   qr.last_cycles = used;
   result.used = used;
 }
@@ -477,6 +483,7 @@ void MonitoringSystem::RunShardWaves(const trace::Batch& batch, std::vector<Quer
 MonitoringSystem::QueryTaskResult MonitoringSystem::ExecuteCustom(QueryRuntime& qr,
                                                                   const trace::Batch& batch,
                                                                   double rate, double granted,
+                                                                  const SharedExtraction& shared,
                                                                   uint64_t base_seq) {
   QueryTaskResult result;
   rate = std::clamp(rate, 0.0, 1.0);
@@ -503,7 +510,7 @@ MonitoringSystem::QueryTaskResult MonitoringSystem::ExecuteCustom(QueryRuntime& 
     WorkHint extract_hint{qr.query.get(), &batch.packets, 0.0};
     result.AddCharge(/*ls=*/false,
                      oracle_->RunAt(base_seq++, WorkKind::kFeatureExtraction, extract_hint, [&] {
-                       full_features = qr.engine.extractor().Extract(batch.packets);
+                       full_features = qr.engine.extractor().Extract(*shared.index);
                      }));
     WorkHint fit_hint{qr.query.get(), nullptr,
                       static_cast<double>(config_.predictor.history)};
@@ -526,13 +533,18 @@ void MonitoringSystem::RunPredictive(const trace::Batch& batch, BinLog& log) {
 
   // Phase 1 (Alg. 1 lines 3-6): shared feature extraction + per-query
   // prediction of the cost of the full batch.
-  features::FeatureVector f_full{};
+  // The extraction also leaves the bin's tuple index in sys_extractor_,
+  // which every query's sampling and re-extraction below read.
+  SharedExtraction shared;
   WorkHint extract_hint{nullptr, &batch.packets, 0.0};
   {
     obs::Span span(tracer_, obs::Stage::kExtraction, bin);
-    log.ps_cycles += oracle_->Run(WorkKind::kFeatureExtraction, extract_hint,
-                                  [&] { f_full = sys_extractor_.Extract(batch.packets); });
+    log.ps_cycles += oracle_->Run(WorkKind::kFeatureExtraction, extract_hint, [&] {
+      shared.features = sys_extractor_.Extract(batch.packets);
+    });
   }
+  shared.index = &sys_extractor_.index();
+  const features::FeatureVector& f_full = shared.features;
 
   std::vector<double> pred(n, 0.0);
   double pred_total = 0.0;
@@ -636,8 +648,7 @@ void MonitoringSystem::RunPredictive(const trace::Batch& batch, BinLog& log) {
                      qr.engine.predictor().history_size() >= config_.warmup_observations;
     plan[q].base_seq = oracle_->ReserveSequence(
         plan[q].custom ? PlanCustomOracleCalls(alloc.rate[q])
-                       : PlanOracleCalls(alloc.rate[q], /*update_history=*/true,
-                                         /*has_shared_features=*/true));
+                       : PlanOracleCalls(alloc.rate[q], /*update_history=*/true));
   }
 
   // Wave 1: the whole per-query pipeline for unsharded queries, and the
@@ -657,12 +668,12 @@ void MonitoringSystem::RunPredictive(const trace::Batch& batch, BinLog& log) {
         }
         QueryRuntime& qr = *queries_[q];
         if (plan[q].custom) {
-          results[q] = ExecuteCustom(qr, batch, alloc.rate[q], alloc.rate[q] * pred[q],
+          results[q] = ExecuteCustom(qr, batch, alloc.rate[q], alloc.rate[q] * pred[q], shared,
                                      plan[q].base_seq);
           return;
         }
-        ExecuteQueryPre(qr, batch, alloc.rate[q], /*update_history=*/true, &f_full,
-                        plan[q].base_seq, ex[q], results[q]);
+        ExecuteQueryPre(qr, batch, alloc.rate[q], &shared, plan[q].base_seq, ex[q],
+                        results[q]);
         if (!ex[q].sharded()) {
           ExecuteQueryPost(qr, batch, ex[q], results[q]);
         }
@@ -726,8 +737,8 @@ void MonitoringSystem::RunReactive(const trace::Batch& batch, BinLog& log) {
     if (disabled[q]) {
       continue;
     }
-    base_seq[q] = oracle_->ReserveSequence(PlanOracleCalls(
-        rates[q], /*update_history=*/false, /*has_shared_features=*/false));
+    base_seq[q] =
+        oracle_->ReserveSequence(PlanOracleCalls(rates[q], /*update_history=*/false));
   }
   std::vector<QueryTaskResult> results(n);
   std::vector<QueryExec> ex(n);
@@ -738,8 +749,8 @@ void MonitoringSystem::RunReactive(const trace::Batch& batch, BinLog& log) {
         if (disabled[q]) {
           return;
         }
-        ExecuteQueryPre(*queries_[q], batch, rates[q],
-                        /*update_history=*/false, nullptr, base_seq[q], ex[q], results[q]);
+        ExecuteQueryPre(*queries_[q], batch, rates[q], /*shared=*/nullptr, base_seq[q],
+                        ex[q], results[q]);
         if (!ex[q].sharded()) {
           ExecuteQueryPost(*queries_[q], batch, ex[q], results[q]);
         }
@@ -774,8 +785,8 @@ void MonitoringSystem::RunNoShed(const trace::Batch& batch, BinLog& log) {
   executor_.Run(
       n,
       [&](size_t q) {
-        ExecuteQueryPre(*queries_[q], batch, /*rate=*/1.0,
-                        /*update_history=*/false, nullptr, base_seq[q], ex[q], results[q]);
+        ExecuteQueryPre(*queries_[q], batch, /*rate=*/1.0, /*shared=*/nullptr, base_seq[q],
+                        ex[q], results[q]);
         if (!ex[q].sharded()) {
           ExecuteQueryPost(*queries_[q], batch, ex[q], results[q]);
         }

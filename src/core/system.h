@@ -239,12 +239,14 @@ class MonitoringSystem {
     obs::Counter* m_cycles = nullptr;
     obs::Counter* m_disabled_bins = nullptr;
     obs::Gauge* m_times_policed = nullptr;
-    // Reusable buffer the samplers write into: sampling a batch stops
-    // allocating once the buffer has grown to the query's working set.
-    // Valid only within the bin's execute waves — its Packets point into
-    // the current Batch's arena — so ExecuteQueryPost clears it (capacity
-    // kept) and it must never be read between bins.
-    trace::PacketVec sample_buf;
+    // Reusable buffers the samplers write into: sampling a batch stops
+    // allocating once they have grown to the query's working set. Valid only
+    // within the bin's execute waves — sample_buf's Packets point into the
+    // current Batch's arena, positions index the current Batch (and its
+    // shared TupleIndex) — so ExecuteQueryPost clears them (capacity kept)
+    // and they must never be read between bins.
+    std::vector<uint32_t> positions{};
+    trace::PacketVec sample_buf{};
   };
 
   void RunPredictive(const trace::Batch& batch, BinLog& log);
@@ -279,13 +281,20 @@ class MonitoringSystem {
     }
   };
 
+  // The bin's shared extraction (Alg. 1 line 3), written by the coordinator
+  // before the query waves and read-only during them.
+  struct SharedExtraction {
+    features::FeatureVector features{};
+    const features::TupleIndex* index = nullptr;
+  };
+
   // Number of oracle calls the pre+post execution of one query will make for
   // the given parameters; the coordinator reserves exactly this many charge
   // slots per query (in registration order) before fanning tasks out, so
   // sequenced charges match the serial call schedule no matter which worker
   // runs when. Intra-query sharding never changes this count: a sharded
   // batch is still charged through the single reserved kQuery slot.
-  static uint64_t PlanOracleCalls(double rate, bool update_history, bool has_shared_features);
+  static uint64_t PlanOracleCalls(double rate, bool update_history);
   static uint64_t PlanCustomOracleCalls(double rate);
 
   // Per-query execution context threaded through the fan-out waves of one
@@ -308,14 +317,18 @@ class MonitoringSystem {
     bool sharded() const { return states.size() > 1; }
   };
 
-  // First half of the per-query pipeline: samples the batch and re-extracts
-  // features for the history update (reusing `shared_features` at full rate —
-  // the §3.4.4 computation sharing), consuming reserved slots from
-  // `base_seq`; then plans the intra-query shard fan-out over the sampled
-  // view. Safe to call concurrently for distinct queries.
+  // First half of the per-query pipeline: samples the batch and, on the
+  // predictive path, re-extracts features for the history update, consuming
+  // reserved slots from `base_seq`; then plans the intra-query shard fan-out
+  // over the sampled view. `shared` is the bin's shared extraction on the
+  // predictive path and null on the reactive and no-shed paths, which keep no
+  // history. With it the §3.4.4 computation sharing applies: the shared
+  // features are reused at full rate, and below it flow sampling selects
+  // positions of the shared TupleIndex and the re-extraction folds its cached
+  // hashes. Safe to call concurrently for distinct queries.
   void ExecuteQueryPre(QueryRuntime& qr, const trace::Batch& batch, double rate,
-                       bool update_history, const features::FeatureVector* shared_features,
-                       uint64_t base_seq, QueryExec& ex, QueryTaskResult& result);
+                       const SharedExtraction* shared, uint64_t base_seq, QueryExec& ex,
+                       QueryTaskResult& result);
   // Second half: the query charge itself — ProcessBatch, or the ordered
   // shard merge when the pre phase split the batch — then the model fit
   // (Alg. 1 line 12). Must run after every shard task of this query.
@@ -328,7 +341,8 @@ class MonitoringSystem {
   // Custom-shedding execution path (Ch. 6); custom batches are never sharded
   // (the method owns its own traversal order).
   QueryTaskResult ExecuteCustom(QueryRuntime& qr, const trace::Batch& batch, double rate,
-                                double granted, uint64_t base_seq);
+                                double granted, const SharedExtraction& shared,
+                                uint64_t base_seq);
 
   void TickIntervals();
   void UpdateBufferAndThreshold(double spent_total);

@@ -20,7 +20,9 @@ struct FcbfResult {
 // any predictor whose correlation with a better-ranked one exceeds its own
 // correlation with the response (redundancy). If nothing clears the
 // threshold, the single most relevant predictor is kept so the regression
-// never runs empty.
+// never runs empty. `y` holds one response per row of `x`
+// (std::invalid_argument otherwise). Every correlation is bit-identical to
+// util::PearsonCorrelation over the materialized columns.
 FcbfResult SelectFeatures(const Matrix& x, const std::vector<double>& y, double threshold);
 
 }  // namespace shedmon::predict

@@ -14,6 +14,8 @@ class Matrix {
 
   double& At(size_t r, size_t c) { return data_[r * cols_ + c]; }
   double At(size_t r, size_t c) const { return data_[r * cols_ + c]; }
+  double* Row(size_t r) { return data_.data() + r * cols_; }
+  const double* Row(size_t r) const { return data_.data() + r * cols_; }
 
   size_t rows() const { return rows_; }
   size_t cols() const { return cols_; }

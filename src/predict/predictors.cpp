@@ -74,9 +74,7 @@ void MlrPredictor::Refit() {
   std::vector<double> y(n);
   size_t r = 0;
   for (const auto& [f, cycles] : window_) {
-    for (int c = 0; c < features::kNumFeatures; ++c) {
-      x.At(r, static_cast<size_t>(c)) = f[static_cast<size_t>(c)];
-    }
+    std::copy(f.begin(), f.end(), x.Row(r));
     y[r] = cycles;
     ++r;
   }

@@ -1,6 +1,7 @@
 #include "src/shed/sampler.h"
 
 #include <algorithm>
+#include <numeric>
 
 namespace shedmon::shed {
 
@@ -14,22 +15,41 @@ size_t ReserveHint(size_t in_size, double rate) {
 }
 }  // namespace
 
-void PacketSampler::SampleInto(const trace::PacketVec& in, double rate,
-                               trace::PacketVec& out) {
+void Gather(const trace::PacketVec& in, std::span<const uint32_t> positions,
+            trace::PacketVec& out) {
+  out.clear();
+  out.reserve(positions.size());
+  for (const uint32_t p : positions) {
+    out.push_back(in[p]);
+  }
+}
+
+void PacketSampler::SelectInto(size_t num_packets, double rate,
+                               std::vector<uint32_t>& positions) {
+  positions.clear();
   if (rate >= 1.0) {
-    out = in;
+    positions.resize(num_packets);
+    std::iota(positions.begin(), positions.end(), 0u);
     return;
   }
-  out.clear();
   if (rate <= 0.0) {
     return;
   }
-  out.reserve(ReserveHint(in.size(), rate));
-  for (const net::Packet& pkt : in) {
-    if (rng_.NextDouble() < rate) {
-      out.push_back(pkt);
-    }
+  // Branch-free: every position is written, and kept by advancing past it.
+  positions.resize(num_packets);
+  uint32_t* out = positions.data();
+  size_t kept = 0;
+  for (size_t i = 0; i < num_packets; ++i) {
+    out[kept] = static_cast<uint32_t>(i);
+    kept += rng_.NextDouble() < rate ? 1 : 0;
   }
+  positions.resize(kept);
+}
+
+void PacketSampler::SampleInto(const trace::PacketVec& in, double rate,
+                               trace::PacketVec& out) {
+  SelectInto(in.size(), rate, positions_);
+  Gather(in, positions_, out);
 }
 
 trace::PacketVec PacketSampler::Sample(const trace::PacketVec& in, double rate) {
@@ -58,8 +78,7 @@ void FlowSampler::SampleInto(const trace::PacketVec& in, double rate,
   }
   out.reserve(ReserveHint(in.size(), rate));
   for (const net::Packet& pkt : in) {
-    const auto key = pkt.rec->tuple.Bytes();
-    if (hash_.HashUnit1Fixed<13>(key.data()) < rate) {
+    if (Keeps(pkt.rec->tuple, rate)) {
       out.push_back(pkt);
     }
   }
@@ -69,6 +88,24 @@ trace::PacketVec FlowSampler::Sample(const trace::PacketVec& in, double rate) co
   trace::PacketVec out;
   SampleInto(in, rate, out);
   return out;
+}
+
+void FlowSampler::SelectInto(std::span<const net::FiveTuple> tuples,
+                             std::span<const uint32_t> tuple_of, double rate,
+                             std::vector<uint32_t>& positions) {
+  keep_.resize(tuples.size());
+  for (size_t t = 0; t < tuples.size(); ++t) {
+    keep_[t] = Keeps(tuples[t], rate) ? 1 : 0;
+  }
+  // Branch-free, as in PacketSampler::SelectInto.
+  positions.resize(tuple_of.size());
+  uint32_t* out = positions.data();
+  size_t kept = 0;
+  for (size_t i = 0; i < tuple_of.size(); ++i) {
+    out[kept] = static_cast<uint32_t>(i);
+    kept += keep_[tuple_of[i]];
+  }
+  positions.resize(kept);
 }
 
 }  // namespace shedmon::shed

@@ -2,6 +2,8 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "src/sketch/fused_hash.h"
 #include "src/trace/batch.h"
@@ -12,9 +14,19 @@ namespace shedmon::shed {
 // Thread-safety contract (src/exec/ parallel pipelines): a sampler instance
 // belongs to exactly one query runtime and is only ever driven by the worker
 // executing that query's bin, so no internal locking is needed. PacketSampler
-// advances its own RNG per call; FlowSampler::SampleInto is const (selection
-// is a pure function of seed, tuple and rate) and Reseed happens on the
-// coordinating thread between bins.
+// advances its own RNG per call; FlowSampler selection is a pure function of
+// seed, tuple and rate, and Reseed happens on the coordinating thread between
+// bins.
+//
+// Both samplers offer two forms of the same selection: SampleInto copies the
+// kept packets, SelectInto writes the kept packets' positions (ascending
+// indices into the batch) so a caller holding per-packet data for the batch
+// (features::TupleIndex) can reuse it for the kept subset; Gather turns
+// positions into the packets SampleInto would have copied.
+
+// Clears `out` (capacity kept) and appends in[p] for every p of `positions`.
+void Gather(const trace::PacketVec& in, std::span<const uint32_t> positions,
+            trace::PacketVec& out);
 
 // Uniform random packet sampling (§4.2): each packet of the batch is kept
 // independently with probability `rate`.
@@ -22,10 +34,15 @@ class PacketSampler {
  public:
   explicit PacketSampler(uint64_t seed) : rng_(seed) {}
 
-  // In-place API: clears `out` (capacity is kept, so a caller-owned buffer
-  // reused across bins stops allocating after warm-up) and appends the kept
-  // packets. Consumes the same RNG sequence as the copying overload, so both
-  // APIs select identical packet sets for identical seeds and rates.
+  // The selection: positions of the packets kept from a batch of
+  // `num_packets`. Draws one RNG value per packet when 0 < rate < 1 and none
+  // otherwise (all kept at rate >= 1, none at rate <= 0).
+  void SelectInto(size_t num_packets, double rate, std::vector<uint32_t>& positions);
+
+  // In-place API: SelectInto, then Gather into `out` (capacity is kept, so a
+  // caller-owned buffer reused across bins stops allocating after warm-up).
+  // Every form consumes the same RNG sequence, so all of them select
+  // identical packet sets for identical seeds and rates.
   void SampleInto(const trace::PacketVec& in, double rate, trace::PacketVec& out);
 
   // Copying convenience API; allocates a fresh vector per call.
@@ -38,6 +55,7 @@ class PacketSampler {
 
  private:
   util::Rng rng_;
+  std::vector<uint32_t> positions_;  // SampleInto working buffer
 };
 
 // Flowwise sampling ([43] + §4.2): a packet is kept iff the H3 hash of its
@@ -61,9 +79,23 @@ class FlowSampler {
 
   trace::PacketVec Sample(const trace::PacketVec& in, double rate) const;
 
+  // Positions of the packets SampleInto would keep from a batch whose packet
+  // i carries the 5-tuple tuples[tuple_of[i]]. The hash is evaluated once per
+  // distinct tuple rather than once per packet, and at every rate: a unit
+  // hash lies in [0, 1), so rate >= 1 keeps every tuple and rate <= 0 none.
+  void SelectInto(std::span<const net::FiveTuple> tuples, std::span<const uint32_t> tuple_of,
+                  double rate, std::vector<uint32_t>& positions);
+
  private:
+  // The selection rule both forms apply to a 5-tuple.
+  bool Keeps(const net::FiveTuple& tuple, double rate) const {
+    const auto key = tuple.Bytes();
+    return hash_.HashUnit1Fixed<13>(key.data()) < rate;
+  }
+
   sketch::FusedTupleHasher hash_;
   uint64_t seed_;
+  std::vector<uint8_t> keep_;  // SelectInto working buffer: per distinct tuple, kept?
 };
 
 }  // namespace shedmon::shed

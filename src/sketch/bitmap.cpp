@@ -58,29 +58,39 @@ MultiResBitmap::MultiResBitmap(uint32_t components, uint32_t component_bits)
   }
   words_.assign(static_cast<size_t>(components_) * comp_words_, 0);
   bits_set_.assign(components_, 0);
+
+  auto tables = std::make_shared<Tables>();
+  tables->setmax = static_cast<uint32_t>(kSetMaxFraction * static_cast<double>(component_bits_));
+  tables->linear_count.resize(static_cast<size_t>(component_bits_) + 1);
+  for (uint32_t set = 0; set <= component_bits_; ++set) {
+    tables->linear_count[set] = LinearCount(component_bits_, set);
+  }
+  const uint32_t c = components_;
+  tables->probability_sum.resize(c);
+  for (uint32_t base = 0; base < c; ++base) {
+    double sum = 0.0;
+    for (uint32_t i = base; i < c; ++i) {
+      sum += (i < c - 1) ? std::ldexp(1.0, -static_cast<int>(i + 1))
+                         : std::ldexp(1.0, -static_cast<int>(c - 1));
+    }
+    tables->probability_sum[base] = sum;
+  }
+  tables_ = std::move(tables);
 }
 
 double MultiResBitmap::EstimateFrom(const uint32_t* bits_set) const {
+  const Tables& t = *tables_;
   const uint32_t c = components_;
   // First component whose occupancy is trustworthy.
-  const uint32_t setmax =
-      static_cast<uint32_t>(kSetMaxFraction * static_cast<double>(component_bits_));
   uint32_t base = 0;
-  while (base + 1 < c && bits_set[base] > setmax) {
+  while (base + 1 < c && bits_set[base] > t.setmax) {
     ++base;
   }
   double estimate_sum = 0.0;
-  double probability_sum = 0.0;
   for (uint32_t i = base; i < c; ++i) {
-    estimate_sum += LinearCount(component_bits_, bits_set[i]);
-    const double p = (i < c - 1) ? std::ldexp(1.0, -static_cast<int>(i + 1))
-                                 : std::ldexp(1.0, -static_cast<int>(c - 1));
-    probability_sum += p;
+    estimate_sum += t.linear_count[bits_set[i]];
   }
-  if (probability_sum <= 0.0) {
-    return 0.0;
-  }
-  return estimate_sum / probability_sum;
+  return estimate_sum / t.probability_sum[base];
 }
 
 double MultiResBitmap::Estimate() const { return EstimateFrom(bits_set_.data()); }
@@ -98,14 +108,17 @@ void MultiResBitmap::Union(const MultiResBitmap& other) {
   if (other.components_ != components_ || other.component_bits_ != component_bits_) {
     throw std::invalid_argument("MultiResBitmap::Union shape mismatch");
   }
+  // bits_set_ always equals the popcount of its component, so the merged
+  // occupancy is the old one plus the bits `other` adds.
   for (uint32_t comp = 0; comp < components_; ++comp) {
-    uint32_t set = 0;
     const size_t off = static_cast<size_t>(comp) * comp_words_;
     for (uint32_t w = 0; w < comp_words_; ++w) {
-      words_[off + w] |= other.words_[off + w];
-      set += static_cast<uint32_t>(std::popcount(words_[off + w]));
+      const uint64_t added = other.words_[off + w] & ~words_[off + w];
+      if (added != 0) {
+        words_[off + w] |= added;
+        bits_set_[comp] += static_cast<uint32_t>(std::popcount(added));
+      }
     }
-    bits_set_[comp] = set;
   }
 }
 
@@ -114,14 +127,16 @@ double MultiResBitmap::CountNew(const MultiResBitmap& other) const {
     throw std::invalid_argument("MultiResBitmap::CountNew shape mismatch");
   }
   // Occupancy of (this | other) per component, without building the merged
-  // bitmap: CountNew runs once per aggregate per batch and used to be the
-  // only allocating operation left in the extraction path.
+  // bitmap: the own occupancy plus the bits only `other` has.
   uint32_t merged[kMaxComponents];
   for (uint32_t comp = 0; comp < components_; ++comp) {
-    uint32_t set = 0;
+    uint32_t set = bits_set_[comp];
     const size_t off = static_cast<size_t>(comp) * comp_words_;
     for (uint32_t w = 0; w < comp_words_; ++w) {
-      set += static_cast<uint32_t>(std::popcount(words_[off + w] | other.words_[off + w]));
+      const uint64_t added = other.words_[off + w] & ~words_[off + w];
+      if (added != 0) {
+        set += static_cast<uint32_t>(std::popcount(added));
+      }
     }
     merged[comp] = set;
   }

@@ -2,6 +2,8 @@
 
 #include <bit>
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <vector>
 
 namespace shedmon::sketch {
@@ -56,7 +58,10 @@ class DirectBitmap {
 //
 // All components live in one flat word array (rather than one heap-allocated
 // bitmap per component) so the per-packet Insert is a single indexed access
-// with no pointer chasing, and Union/CountNew are linear sweeps.
+// with no pointer chasing, and Union/CountNew are linear sweeps that
+// popcount only the bits the other bitmap adds. The estimator reads its
+// linear-counting terms and probability sums from tables built once in the
+// constructor; copies share them.
 class MultiResBitmap {
  public:
   static constexpr uint32_t kMaxComponents = 30;
@@ -91,6 +96,10 @@ class MultiResBitmap {
   double CountNew(const MultiResBitmap& other) const;
 
   uint32_t components() const { return components_; }
+  uint32_t component_bits() const { return component_bits_; }
+  // The bit words, component-major: component i owns words
+  // [i * ceil(component_bits / 64), (i + 1) * ceil(component_bits / 64)).
+  std::span<const uint64_t> words() const { return words_; }
 
  private:
   // Occupancy threshold above which a component is considered saturated; the
@@ -108,12 +117,24 @@ class MultiResBitmap {
   // by Estimate() (own occupancy) and CountNew() (merged occupancy).
   double EstimateFrom(const uint32_t* bits_set) const;
 
+  // Estimator constants of one (components, component_bits) shape.
+  struct Tables {
+    uint32_t setmax = 0;  // occupancy above which a component is saturated
+    // Linear-counting estimate of one component for each occupancy
+    // 0..component_bits.
+    std::vector<double> linear_count;
+    // Sum of the sampling probabilities of components base..c-1, for each
+    // base, accumulated in ascending component order.
+    std::vector<double> probability_sum;
+  };
+
   uint32_t components_;
   uint32_t component_bits_;
   uint32_t comp_words_;  // 64-bit words per component
   uint32_t mask_;
   std::vector<uint64_t> words_;     // components_ * comp_words_
   std::vector<uint32_t> bits_set_;  // per-component occupancy
+  std::shared_ptr<const Tables> tables_;
 };
 
 }  // namespace shedmon::sketch

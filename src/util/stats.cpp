@@ -92,6 +92,10 @@ double PearsonCorrelation(const std::vector<double>& x, const std::vector<double
     sxx += dx * dx;
     syy += dy * dy;
   }
+  return CorrelationFromSums(sxy, sxx, syy);
+}
+
+double CorrelationFromSums(double sxy, double sxx, double syy) {
   if (sxx <= 1e-30 || syy <= 1e-30) {
     return 0.0;
   }

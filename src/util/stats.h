@@ -49,4 +49,10 @@ double RelativeError(double estimate, double actual);
 // series is (numerically) constant.
 double PearsonCorrelation(const std::vector<double>& x, const std::vector<double>& y);
 
+// The coefficient from the centred sums sum(dx*dy), sum(dx*dx) and
+// sum(dy*dy), with PearsonCorrelation's constant-series guard: the final
+// step of PearsonCorrelation, for callers that accumulate the sums
+// themselves.
+double CorrelationFromSums(double sxy, double sxx, double syy);
+
 }  // namespace shedmon::util

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <unordered_set>
+#include <vector>
 
 #include "src/features/extractor.h"
 #include "src/features/features.h"
@@ -10,6 +12,7 @@
 #include "src/trace/generator.h"
 #include "src/trace/spec.h"
 #include "src/util/rng.h"
+#include "tests/reference_extractor.h"
 
 namespace shedmon::features {
 namespace {
@@ -249,8 +252,8 @@ TEST(FusedAggregates, FusedHashesMatchPerAggregateReference) {
 }
 
 TEST(Extractor, FusedExtractMatchesReferenceBitExactly) {
-  // Extract (fused + batch-local tuple dedupe) and ExtractReference (the
-  // seed's per-aggregate path) must produce bit-identical feature vectors,
+  // Extract (tuple index + fused hashes + one fold) and the unfused
+  // per-aggregate oracle must produce bit-identical feature vectors,
   // including across interval state carried over multiple batches.
   const trace::Trace t = trace::TraceGenerator(trace::CescaI()).Generate();
   trace::Batcher b1(t, 100'000);
@@ -258,7 +261,7 @@ TEST(Extractor, FusedExtractMatchesReferenceBitExactly) {
   trace::Batch batch1;
   trace::Batch batch2;
   FeatureExtractor fused_ex;
-  FeatureExtractor reference_ex;
+  oracle::ReferenceExtractor reference_ex;
   int bins = 0;
   while (b1.Next(batch1) && b2.Next(batch2)) {
     if (++bins % 10 == 0) {  // exercise interval resets too
@@ -266,13 +269,140 @@ TEST(Extractor, FusedExtractMatchesReferenceBitExactly) {
       reference_ex.StartInterval();
     }
     const FeatureVector f = fused_ex.Extract(batch1.packets);
-    const FeatureVector r = reference_ex.ExtractReference(batch2.packets);
+    const FeatureVector r = reference_ex.Extract(batch2.packets);
     for (int k = 0; k < kNumFeatures; ++k) {
-      ASSERT_DOUBLE_EQ(f[static_cast<size_t>(k)], r[static_cast<size_t>(k)])
+      ASSERT_EQ(f[static_cast<size_t>(k)], r[static_cast<size_t>(k)])
           << "bin " << bins << " feature " << FeatureName(k);
     }
   }
   EXPECT_GT(bins, 20);
+}
+
+// Selects each position with probability `rate`: a stand-in for either
+// sampler, so the fold is checked on arbitrary ascending subsets.
+std::vector<uint32_t> RandomPositions(size_t n, double rate, util::Rng& rng) {
+  std::vector<uint32_t> out;
+  for (size_t i = 0; i < n; ++i) {
+    if (rng.NextDouble() < rate) {
+      out.push_back(static_cast<uint32_t>(i));
+    }
+  }
+  return out;
+}
+
+trace::PacketVec Gather(const trace::PacketVec& packets, const std::vector<uint32_t>& positions) {
+  trace::PacketVec out;
+  for (const uint32_t p : positions) {
+    out.push_back(packets[p]);
+  }
+  return out;
+}
+
+void ExpectBitIdentical(const FeatureVector& a, const FeatureVector& b, int bin) {
+  for (int k = 0; k < kNumFeatures; ++k) {
+    EXPECT_EQ(a[static_cast<size_t>(k)], b[static_cast<size_t>(k)])
+        << "bin " << bin << " feature " << FeatureName(k);
+  }
+}
+
+TEST(Extractor, IndexFoldMatchesExtractOnMaterialisedSample) {
+  // The per-query re-extraction of the predictive path: a query's extractor
+  // folds the shared extraction's tuple index over its kept positions. It
+  // must equal Extract() (and the unfused oracle) on the gathered sample,
+  // field for field, with the interval state carried across three
+  // StartInterval boundaries.
+  const trace::Trace t = trace::TraceGenerator(trace::CescaI()).Generate();
+  trace::Batcher batcher(t, 100'000);
+  trace::Batch batch;
+  FeatureExtractor shared;
+  FeatureExtractor folding;
+  FeatureExtractor materialised;
+  oracle::ReferenceExtractor reference;
+  util::Rng rng(41);
+  int bins = 0;
+  int intervals = 0;
+  while (batcher.Next(batch) && bins < 40) {
+    if (++bins % 10 == 0) {
+      shared.StartInterval();
+      folding.StartInterval();
+      materialised.StartInterval();
+      reference.StartInterval();
+      ++intervals;
+    }
+    (void)shared.Extract(batch.packets);
+    const double rate = (bins % 3 == 0) ? 0.0 : 0.1 + 0.2 * static_cast<double>(bins % 4);
+    const std::vector<uint32_t> positions = RandomPositions(batch.size(), rate, rng);
+    const trace::PacketVec sample = Gather(batch.packets, positions);
+    const FeatureVector folded = folding.Extract(shared.index(), positions);
+    ExpectBitIdentical(folded, materialised.Extract(sample), bins);
+    ExpectBitIdentical(folded, reference.Extract(sample), bins);
+  }
+  EXPECT_GE(intervals, 3);
+}
+
+TEST(Extractor, IndexFoldMatchesOnAllDistinctTuples) {
+  // The index's worst case: no packet repeats a 5-tuple (a spoofed SYN
+  // flood), so every kept packet inserts its own ten hashes.
+  std::vector<net::PacketRecord> records;
+  util::Rng rng(43);
+  for (uint32_t i = 0; i < 3000; ++i) {
+    net::PacketRecord rec;
+    rec.tuple = {0x0a000000u + i, 0xc0a80001u, static_cast<uint16_t>(1024 + i % 60000), 80,
+                 net::kProtoTcp};
+    rec.wire_len = static_cast<uint16_t>(40 + rng.NextBelow(1400));
+    records.push_back(rec);
+  }
+  trace::PacketVec packets;
+  for (const auto& rec : records) {
+    net::Packet p;
+    p.rec = &rec;
+    packets.push_back(p);
+  }
+  FeatureExtractor shared;
+  FeatureExtractor folding;
+  FeatureExtractor materialised;
+  for (int round = 0; round < 6; ++round) {
+    if (round == 2 || round == 4) {
+      folding.StartInterval();
+      materialised.StartInterval();
+    }
+    (void)shared.Extract(packets);
+    ASSERT_EQ(shared.index().num_tuples(), packets.size());
+    const std::vector<uint32_t> positions = RandomPositions(packets.size(), 0.26, rng);
+    ExpectBitIdentical(folding.Extract(shared.index(), positions),
+                       materialised.Extract(Gather(packets, positions)), round);
+  }
+}
+
+TEST(Extractor, FullIndexFoldMatchesExtract) {
+  // The custom-shedding path folds every packet of the shared index through
+  // the query's own interval state.
+  const trace::Trace t = trace::TraceGenerator(trace::CescaI()).Generate();
+  trace::Batcher batcher(t, 100'000);
+  trace::Batch batch;
+  FeatureExtractor shared;
+  FeatureExtractor folding;
+  FeatureExtractor direct;
+  for (int bin = 0; bin < 15 && batcher.Next(batch); ++bin) {
+    if (bin == 7) {
+      folding.StartInterval();
+      direct.StartInterval();
+    }
+    (void)shared.Extract(batch.packets);
+    ExpectBitIdentical(folding.Extract(shared.index()), direct.Extract(batch.packets), bin);
+  }
+}
+
+TEST(Extractor, IndexFoldRejectsForeignSeed) {
+  PacketFixture fx;
+  fx.Add(1, 2, 3, 4, net::kProtoTcp);
+  fx.Finish();
+  FeatureExtractor::Config other;
+  other.seed = 7;
+  FeatureExtractor shared(other);
+  (void)shared.Extract(fx.packets);
+  FeatureExtractor folding;
+  EXPECT_THROW(folding.Extract(shared.index()), std::invalid_argument);
 }
 
 TEST(Extractor, RealTrafficUniqueCountsAreConsistent) {

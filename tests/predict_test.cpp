@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -198,6 +199,121 @@ TEST(Fcbf, HigherThresholdSelectsFewer) {
   const auto low = SelectFeatures(MakeFeatureMatrix(rows), y, 0.1);
   const auto high = SelectFeatures(MakeFeatureMatrix(rows), y, 0.95);
   EXPECT_GE(low.selected.size(), high.selected.size());
+}
+
+// FCBF as pairwise util::PearsonCorrelation calls over materialized
+// columns: the definition SelectFeatures' centred-matrix sums must match bit
+// for bit.
+FcbfResult ReferenceSelectFeatures(const Matrix& x, const std::vector<double>& y,
+                                   double threshold) {
+  FcbfResult result;
+  const size_t p = x.cols();
+  result.relevance.assign(p, 0.0);
+  if (p == 0 || x.rows() < 2) {
+    return result;
+  }
+  std::vector<std::vector<double>> cols(p, std::vector<double>(x.rows()));
+  for (size_t c = 0; c < p; ++c) {
+    for (size_t r = 0; r < x.rows(); ++r) {
+      cols[c][r] = x.At(r, c);
+    }
+    result.relevance[c] = std::abs(util::PearsonCorrelation(cols[c], y));
+  }
+  std::vector<int> ranked;
+  for (size_t c = 0; c < p; ++c) {
+    if (result.relevance[c] >= threshold && result.relevance[c] > 0.0) {
+      ranked.push_back(static_cast<int>(c));
+    }
+  }
+  std::sort(ranked.begin(), ranked.end(), [&](int a, int b) {
+    return result.relevance[static_cast<size_t>(a)] > result.relevance[static_cast<size_t>(b)];
+  });
+  if (ranked.empty()) {
+    const auto best = std::max_element(result.relevance.begin(), result.relevance.end());
+    if (*best > 0.0) {
+      result.selected.push_back(static_cast<int>(best - result.relevance.begin()));
+    }
+    return result;
+  }
+  std::vector<bool> removed(ranked.size(), false);
+  for (size_t i = 0; i < ranked.size(); ++i) {
+    if (removed[i]) {
+      continue;
+    }
+    const auto fi = static_cast<size_t>(ranked[i]);
+    for (size_t j = i + 1; j < ranked.size(); ++j) {
+      const auto fj = static_cast<size_t>(ranked[j]);
+      if (!removed[j] &&
+          std::abs(util::PearsonCorrelation(cols[fi], cols[fj])) >= result.relevance[fj]) {
+        removed[j] = true;
+      }
+    }
+  }
+  for (size_t i = 0; i < ranked.size(); ++i) {
+    if (!removed[i]) {
+      result.selected.push_back(ranked[i]);
+    }
+  }
+  return result;
+}
+
+void ExpectFcbfMatchesReference(const Matrix& x, const std::vector<double>& y) {
+  for (const double threshold : {0.0, 0.3, 0.6, 0.9, 0.999}) {
+    const FcbfResult fast = SelectFeatures(x, y, threshold);
+    const FcbfResult ref = ReferenceSelectFeatures(x, y, threshold);
+    ASSERT_EQ(fast.relevance.size(), ref.relevance.size());
+    for (size_t c = 0; c < ref.relevance.size(); ++c) {
+      EXPECT_EQ(fast.relevance[c], ref.relevance[c]) << "column " << c;
+    }
+    EXPECT_EQ(fast.selected, ref.selected) << "threshold " << threshold;
+  }
+}
+
+TEST(Fcbf, MatchesPairwisePearsonReferenceOnRandomWindows) {
+  util::Rng rng(71);
+  for (const size_t rows : {2, 3, 17, 60, 120}) {
+    Matrix x(rows, features::kNumFeatures);
+    std::vector<double> y(rows);
+    for (size_t r = 0; r < rows; ++r) {
+      for (size_t c = 0; c < x.cols(); ++c) {
+        // Feature-like scales: counts from tens to hundreds of thousands.
+        x.At(r, c) = rng.NextDouble() * std::ldexp(1.0, static_cast<int>(c % 18));
+      }
+      y[r] = 40.0 * x.At(r, 0) + 3.0 * x.At(r, 5) + rng.NextGaussian() * 1e3;
+    }
+    SCOPED_TRACE(rows);
+    ExpectFcbfMatchesReference(x, y);
+  }
+}
+
+TEST(Fcbf, MatchesPairwisePearsonReferenceOnCollinearAndConstantColumns) {
+  // A SYN-flood-like window: many features are exact multiples or affine
+  // copies of each other, some are constant, and the redundancy phase has
+  // ties to break.
+  util::Rng rng(73);
+  const size_t rows = 60;
+  Matrix x(rows, features::kNumFeatures);
+  std::vector<double> y(rows);
+  for (size_t r = 0; r < rows; ++r) {
+    const double pkts = 100.0 + rng.NextDouble() * 900.0;
+    for (size_t c = 0; c < x.cols(); ++c) {
+      switch (c % 6) {
+        case 0: x.At(r, c) = pkts; break;
+        case 1: x.At(r, c) = pkts * static_cast<double>(c); break;
+        case 2: x.At(r, c) = 7.0; break;  // constant
+        case 3: x.At(r, c) = 3.0 * pkts + 11.0; break;
+        case 4: x.At(r, c) = 0.0; break;  // all-zero
+        default: x.At(r, c) = pkts + rng.NextGaussian(); break;
+      }
+    }
+    y[r] = 40.0 * pkts;
+  }
+  ExpectFcbfMatchesReference(x, y);
+
+  // A constant response: every relevance is zero and nothing is selected.
+  std::vector<double> flat(rows, 5.0);
+  ExpectFcbfMatchesReference(x, flat);
+  EXPECT_TRUE(SelectFeatures(x, flat, 0.5).selected.empty());
 }
 
 FeatureVector MakeFeatures(double pkts, double bytes, double new5t) {

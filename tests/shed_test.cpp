@@ -3,6 +3,7 @@
 #include <cmath>
 #include <map>
 #include <set>
+#include <vector>
 
 #include "src/shed/enforcement.h"
 #include "src/shed/sampler.h"
@@ -184,6 +185,104 @@ TEST(FlowSamplerTest, DeterministicWithoutReseed) {
   const auto a = sampler.Sample(packets, 0.5);
   const auto b = sampler.Sample(packets, 0.5);
   EXPECT_EQ(a.size(), b.size());
+}
+
+// ------------------------------------------- position selection vs copying --
+
+// Dense distinct-tuple ids in first-appearance order, built independently of
+// features::TupleIndex.
+struct TupleIds {
+  std::vector<net::FiveTuple> tuples;
+  std::vector<uint32_t> tuple_of;
+};
+
+TupleIds IdsOf(const trace::PacketVec& packets) {
+  TupleIds ids;
+  std::map<net::FiveTuple, uint32_t> seen;
+  for (const auto& pkt : packets) {
+    const auto [it, fresh] =
+        seen.emplace(pkt.rec->tuple, static_cast<uint32_t>(ids.tuples.size()));
+    if (fresh) {
+      ids.tuples.push_back(pkt.rec->tuple);
+    }
+    ids.tuple_of.push_back(it->second);
+  }
+  return ids;
+}
+
+void ExpectSameSelection(const trace::PacketVec& packets, const std::vector<uint32_t>& positions,
+                         const trace::PacketVec& copied) {
+  ASSERT_EQ(positions.size(), copied.size());
+  for (size_t i = 0; i < positions.size(); ++i) {
+    ASSERT_LT(positions[i], packets.size());
+    EXPECT_EQ(packets[positions[i]].rec, copied[i].rec) << "index " << i;
+  }
+}
+
+TEST(PacketSamplerTest, SelectIntoMatchesSampleIntoAndRngState) {
+  // Every 100 ms bin of the trace in a row, cycling through the rates: the
+  // selections and the RNG positions must stay in lockstep throughout, with
+  // each other and with the sampling rule itself (one draw per packet below
+  // full rate, none at rates 0 and 1).
+  const auto t = SmallTrace();
+  trace::Batcher batcher(t, 100'000);
+  trace::Batch batch;
+  PacketSampler copying(23);
+  PacketSampler selecting(23);
+  util::Rng reference(23);
+  std::vector<uint32_t> positions;
+  std::vector<uint32_t> expected;
+  trace::PacketVec buf;
+  const double rates[] = {0.0, 0.26, 1.0, 0.26, 0.7};
+  size_t bins = 0;
+  while (batcher.Next(batch)) {
+    const double rate = rates[bins++ % 5];
+    SCOPED_TRACE(::testing::Message() << "bin " << bins << " rate " << rate);
+    expected.clear();
+    for (uint32_t i = 0; i < batch.size(); ++i) {
+      if (rate >= 1.0 || (rate > 0.0 && reference.NextDouble() < rate)) {
+        expected.push_back(i);
+      }
+    }
+    copying.SampleInto(batch.packets, rate, buf);
+    selecting.SelectInto(batch.size(), rate, positions);
+    EXPECT_EQ(positions, expected);
+    ExpectSameSelection(batch.packets, positions, buf);
+    EXPECT_EQ(copying.RngState(), selecting.RngState());
+    EXPECT_EQ(selecting.RngState(), reference.State());
+  }
+  EXPECT_GE(bins, 25u);
+}
+
+TEST(FlowSamplerTest, SelectIntoMatchesSampleIntoAcrossReseed) {
+  // Every 100 ms bin of the trace, reseeded every few bins as the system
+  // does at interval boundaries.
+  const auto t = SmallTrace();
+  trace::Batcher batcher(t, 100'000);
+  trace::Batch batch;
+  FlowSampler copying(29);
+  FlowSampler selecting(29);
+  std::vector<uint32_t> positions;
+  trace::PacketVec buf;
+  const double rates[] = {0.0, 0.26, 1.0};
+  size_t bins = 0;
+  size_t repeats = 0;
+  while (batcher.Next(batch)) {
+    if (bins % 4 == 3) {
+      const uint64_t seed = 0x9e3779b97f4a7c15ULL * (bins + 1);
+      copying.Reseed(seed);
+      selecting.Reseed(seed);
+    }
+    const double rate = rates[bins++ % 3];
+    SCOPED_TRACE(::testing::Message() << "bin " << bins << " rate " << rate);
+    const TupleIds ids = IdsOf(batch.packets);
+    repeats += batch.size() - ids.tuples.size();
+    copying.SampleInto(batch.packets, rate, buf);
+    selecting.SelectInto(ids.tuples, ids.tuple_of, rate, positions);
+    ExpectSameSelection(batch.packets, positions, buf);
+  }
+  EXPECT_GE(bins, 25u);
+  EXPECT_GT(repeats, 0u);  // repeated tuples exercise the per-tuple decision
 }
 
 // --------------------------------------------------------------- strategies --

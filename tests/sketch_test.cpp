@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <unordered_set>
@@ -315,6 +316,144 @@ TEST(MultiResBitmap, DeterministicForSameInserts) {
     b.Insert(k);
   }
   EXPECT_DOUBLE_EQ(a.Estimate(), b.Estimate());
+}
+
+// ---- Sparse merges and tabled estimator vs a dense recount --------------
+
+// Per-component occupancy recounted from the words with one popcount per
+// word: what Union and CountNew computed before they counted only new bits.
+std::vector<uint32_t> DenseOccupancy(const MultiResBitmap& bm) {
+  const uint32_t comp_words = (bm.component_bits() + 63) / 64;
+  std::vector<uint32_t> out(bm.components(), 0);
+  for (uint32_t c = 0; c < bm.components(); ++c) {
+    for (uint32_t w = 0; w < comp_words; ++w) {
+      out[c] += static_cast<uint32_t>(std::popcount(bm.words()[c * comp_words + w]));
+    }
+  }
+  return out;
+}
+
+std::vector<uint32_t> DenseMergedOccupancy(const MultiResBitmap& a, const MultiResBitmap& b) {
+  const uint32_t comp_words = (a.component_bits() + 63) / 64;
+  std::vector<uint32_t> out(a.components(), 0);
+  for (uint32_t c = 0; c < a.components(); ++c) {
+    for (uint32_t w = 0; w < comp_words; ++w) {
+      const size_t i = static_cast<size_t>(c) * comp_words + w;
+      out[c] += static_cast<uint32_t>(std::popcount(a.words()[i] | b.words()[i]));
+    }
+  }
+  return out;
+}
+
+// The multi-resolution estimator evaluated directly, with a log per
+// component and the probabilities summed on the fly.
+double DenseEstimate(const std::vector<uint32_t>& set, uint32_t bits) {
+  const auto c = static_cast<uint32_t>(set.size());
+  const auto setmax = static_cast<uint32_t>(0.93 * static_cast<double>(bits));
+  uint32_t base = 0;
+  while (base + 1 < c && set[base] > setmax) {
+    ++base;
+  }
+  double estimate_sum = 0.0;
+  double probability_sum = 0.0;
+  for (uint32_t i = base; i < c; ++i) {
+    const uint32_t zeros = bits - set[i];
+    estimate_sum += zeros == 0 ? static_cast<double>(bits) * std::log(static_cast<double>(bits))
+                               : -static_cast<double>(bits) * std::log(static_cast<double>(zeros) /
+                                                                       static_cast<double>(bits));
+    probability_sum += (i < c - 1) ? std::ldexp(1.0, -static_cast<int>(i + 1))
+                                   : std::ldexp(1.0, -static_cast<int>(c - 1));
+  }
+  return estimate_sum / probability_sum;
+}
+
+// A hash that lands in component `comp` at bit `bit`.
+uint64_t HashFor(uint32_t comp, uint32_t bit) {
+  const uint64_t ones = comp == 0 ? 0 : ~0ULL << (64 - comp);
+  return ones | bit;
+}
+
+void FillComponent(MultiResBitmap& bm, uint32_t comp) {
+  for (uint32_t bit = 0; bit < bm.component_bits(); ++bit) {
+    bm.Insert(HashFor(comp, bit));
+  }
+}
+
+// Checks every fast path of `a` against `b` bit for bit, then merges.
+void ExpectMergeMatchesDense(MultiResBitmap a, const MultiResBitmap& b) {
+  const uint32_t bits = a.component_bits();
+  EXPECT_EQ(a.Estimate(), DenseEstimate(DenseOccupancy(a), bits));
+  EXPECT_EQ(b.Estimate(), DenseEstimate(DenseOccupancy(b), bits));
+  const double before = DenseEstimate(DenseOccupancy(a), bits);
+  const double after = DenseEstimate(DenseMergedOccupancy(a, b), bits);
+  EXPECT_EQ(a.CountNew(b), after > before ? after - before : 0.0);
+
+  std::vector<uint64_t> merged(a.words().begin(), a.words().end());
+  for (size_t i = 0; i < merged.size(); ++i) {
+    merged[i] |= b.words()[i];
+  }
+  a.Union(b);
+  EXPECT_TRUE(std::equal(merged.begin(), merged.end(), a.words().begin(), a.words().end()));
+  EXPECT_EQ(a.Estimate(), DenseEstimate(DenseOccupancy(a), bits));
+  EXPECT_EQ(a.Estimate(), after);
+  // The merge must leave a consistent occupancy behind for the next one.
+  EXPECT_EQ(a.CountNew(b), 0.0);
+}
+
+TEST(MultiResBitmapEquivalence, RandomBitmapsMatchDenseRecount) {
+  util::Rng rng(61);
+  for (const int interval_keys : {0, 30, 700, 5000, 60000}) {
+    for (const int batch_keys : {0, 1, 50, 400, 9000}) {
+      MultiResBitmap interval;
+      MultiResBitmap batch;
+      for (int i = 0; i < interval_keys; ++i) {
+        interval.Insert(rng.NextU64());
+      }
+      for (int i = 0; i < batch_keys; ++i) {
+        batch.Insert(rng.NextU64());
+      }
+      SCOPED_TRACE(::testing::Message() << interval_keys << " x " << batch_keys);
+      ExpectMergeMatchesDense(interval, batch);
+    }
+  }
+}
+
+TEST(MultiResBitmapEquivalence, EmptyAndSaturatedComponentsMatchDenseRecount) {
+  for (const uint32_t components : {2u, 5u, 12u}) {
+    for (const uint32_t bits : {64u, 512u}) {
+      SCOPED_TRACE(::testing::Message() << components << " x " << bits);
+      const MultiResBitmap empty(components, bits);
+      ExpectMergeMatchesDense(empty, empty);
+
+      // Saturated low components push the estimator's base upwards, through
+      // every component including the last.
+      MultiResBitmap low(components, bits);
+      MultiResBitmap all(components, bits);
+      for (uint32_t c = 0; c < components; ++c) {
+        FillComponent(all, c);
+        if (c + 1 < components) {
+          FillComponent(low, c);
+        }
+      }
+      ExpectMergeMatchesDense(empty, low);
+      ExpectMergeMatchesDense(low, empty);
+      ExpectMergeMatchesDense(low, all);
+      ExpectMergeMatchesDense(all, low);
+      ExpectMergeMatchesDense(all, all);
+
+      // Every occupancy of one component, from one bit to full.
+      MultiResBitmap partial(components, bits);
+      util::Rng rng(components * 1000 + bits);
+      for (uint32_t bit = 0; bit < bits; ++bit) {
+        MultiResBitmap one(components, bits);
+        one.Insert(HashFor(0, bit));
+        one.Insert(HashFor(components - 1, static_cast<uint32_t>(rng.NextBelow(bits))));
+        ExpectMergeMatchesDense(partial, one);
+        partial.Union(one);
+      }
+      EXPECT_EQ(DenseOccupancy(partial)[0], bits);
+    }
+  }
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 """Gate hot-path benchmark throughput against a committed BENCH_*.json.
 
 Usage (what the Bench workflow runs):
-  python3 tools/compare_bench.py --baseline BENCH_PR3.json --current bench_micro.json
+  python3 tools/compare_bench.py --baseline BENCH_PR14.json --current bench_micro.json
 
 Compares the benchmarks named in HOT_PATH (prefix match) and exits non-zero
 when any of them regressed by more than --threshold (default 20%) in
@@ -33,6 +33,7 @@ HOT_PATH = (
     "BM_FusedAggregateHash",
     "BM_MultiResBitmapInsert",
     "BM_FeatureExtraction",
+    "BM_ReExtraction",
     "BM_PacketSampler",
     "BM_FlowSampler",
     "BM_BoyerMoore",

@@ -6,6 +6,12 @@ Usage:
   python3 tools/make_bench_baseline.py \
       --baseline /tmp/pre.json --post /tmp/post.json --pr 2 --out BENCH_PR2.json
 
+  # Several recordings per side (e.g. alternating pre/post runs on a shared
+  # host): each benchmark's numbers are the per-field median over them.
+  python3 tools/make_bench_baseline.py \
+      --baseline pre1.json pre2.json pre3.json \
+      --post post1.json post2.json post3.json --pr 2 --out BENCH_PR2.json
+
   # CI / one-shot: condense a single run (no speedups).
   python3 tools/make_bench_baseline.py --post bench_micro.json --pr ci-nightly \
       --out bench_summary.json
@@ -23,6 +29,7 @@ file by re-running the same command and comparing like for like.
 
 import argparse
 import json
+import statistics
 import sys
 
 
@@ -64,27 +71,49 @@ def condense(path):
     return out
 
 
+def condense_all(paths):
+    """condense() each recording; with several, take per-field medians.
+
+    A benchmark's entry is the median of each of its fields over the
+    recordings that contain it, which keeps one slow spell of a shared host
+    out of the baseline.
+    """
+    runs = [condense(path) for path in paths]
+    if len(runs) == 1:
+        return runs[0]
+    out = {"context": runs[0]["context"], "benchmarks": {}}
+    names = sorted(set().union(*(run["benchmarks"] for run in runs)))
+    for name in names:
+        entries = [run["benchmarks"][name] for run in runs if name in run["benchmarks"]]
+        keys = sorted(set().union(*entries))
+        out["benchmarks"][name] = {
+            key: statistics.median([e[key] for e in entries if key in e]) for key in keys}
+    return out
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--baseline",
-                        help="pre-change benchmark JSON, raw google-benchmark "
+    parser.add_argument("--baseline", nargs="+",
+                        help="pre-change benchmark JSON(s), raw google-benchmark "
                              "output or a committed BENCH_*.json (optional)")
-    parser.add_argument("--post", required=True, help="post-change benchmark JSON")
+    parser.add_argument("--post", nargs="+", required=True,
+                        help="post-change benchmark JSON(s)")
     parser.add_argument("--pr", required=True, help="PR identifier for the record")
     parser.add_argument("--out", required=True, help="output file")
     args = parser.parse_args()
 
-    post = condense(args.post)
+    post = condense_all(args.post)
     record = {
         "pr": args.pr,
         "benchmark_command": ("bench_micro --benchmark_repetitions=3 "
                               "--benchmark_report_aggregates_only=true "
                               "--benchmark_out=<file> --benchmark_out_format=json"),
+        "recordings": {"baseline": len(args.baseline or []), "post": len(args.post)},
         "context": post["context"],
         "benchmarks": {},
     }
 
-    baseline = condense(args.baseline) if args.baseline else None
+    baseline = condense_all(args.baseline) if args.baseline else None
     for name, entry in sorted(post["benchmarks"].items()):
         row = {"post": entry}
         if baseline and name in baseline["benchmarks"]:

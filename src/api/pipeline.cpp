@@ -192,12 +192,6 @@ PipelineBuilder& PipelineBuilder::RtClock(std::shared_ptr<rt::Clock> clock) {
   return *this;
 }
 
-PipelineBuilder& PipelineBuilder::IngestCap(size_t max_records, rt::OverflowPolicy policy) {
-  ingest_cap_ = max_records;
-  ingest_policy_ = policy;
-  return *this;
-}
-
 PipelineBuilder& PipelineBuilder::InjectFaults(const rt::FaultPlan& plan) {
   has_fault_plan_ = true;
   fault_plan_ = plan;
@@ -315,13 +309,6 @@ void PipelineBuilder::Validate() const {
       throw ConfigError("query '" + pending.name + "': min_sampling_rate must be in [0, 1]");
     }
   }
-  if (ingest_policy_ == rt::OverflowPolicy::kBlock) {
-    // Push is synchronous (the caller is the consumer), so a "blocking"
-    // ingest cap could never block.
-    throw ConfigError(
-        "IngestCap: the block policy does nothing at the synchronous Pipeline; use drop-newest "
-        "or drop-oldest");
-  }
   if (deadline_enabled_ && !(governor_config_.budget_fraction > 0.0)) {
     throw ConfigError("deadline budget_fraction must be positive");
   }
@@ -391,8 +378,9 @@ Pipeline::Pipeline(const PipelineBuilder& builder, obs::SnapshotReader* state)
     }
   }
   if (state != nullptr) {
-    LoadState(*state);
+    LoadState(*state);  // sets open_bin_
   }
+  open_.Reset(open_bin_ * bin_us_, bin_us_);
 
   // 2. Sinks and the logger.
   if (!builder.csv_path_.empty()) {
@@ -412,7 +400,7 @@ Pipeline::Pipeline(const PipelineBuilder& builder, obs::SnapshotReader* state)
   // 3. The clock, resolved once for every rt user below and for capture.
   clock_ = builder.clock_ != nullptr ? builder.clock_ : rt::DefaultClock();
 
-  // 4. Fault plan, governor, ingest cap, sink retry and checkpoint.
+  // 4. Fault plan, governor, sink retry and checkpoint.
   if (builder.has_fault_plan_) {
     injector_ = std::make_unique<rt::FaultInjector>(builder.fault_plan_, clock_);
     system_->SetFaultInjector(injector_.get());
@@ -420,13 +408,6 @@ Pipeline::Pipeline(const PipelineBuilder& builder, obs::SnapshotReader* state)
   if (builder.deadline_enabled_) {
     governor_ = std::make_unique<rt::DeadlineGovernor>(builder.governor_config_, clock_);
     governor_->Attach(&metrics, logger_.get());
-  }
-  ingest_cap_ = builder.ingest_cap_;
-  ingest_policy_ = builder.ingest_policy_;
-  if (ingest_cap_ > 0) {
-    m_ingest_dropped_ =
-        &metrics.GetCounter("shedmon_rt_ingest_dropped_total", {},
-                            "Records rejected or evicted by the bounded ingest buffer");
   }
   if (builder.has_sink_retry_) {
     for (ResilientSinkBase* sink : rt_sinks_) {
@@ -579,16 +560,13 @@ void Pipeline::AddObserver(std::unique_ptr<BinObserver> observer) {
 }
 
 void Pipeline::Push(const net::Packet& packet) {
-  net::PacketRecord record = *packet.rec;
-  record.payload_len = packet.payload_len;
-  AppendRecord(record, packet.payload);
+  Append(packet, /*pin=*/false);
+  if (packet.payload != nullptr) {
+    ingest_copied_bytes_ += packet.payload_len;
+  }
 }
 
-void Pipeline::PushPinned(const net::Packet& packet) {
-  net::PacketRecord record = *packet.rec;
-  record.payload_len = packet.payload_len;
-  AppendRecord(record, packet.payload, /*pin_payload=*/true);
-}
+void Pipeline::PushPinned(const net::Packet& packet) { Append(packet, /*pin=*/true); }
 
 void Pipeline::Push(std::span<const net::Packet> packets) {
   for (const net::Packet& packet : packets) {
@@ -598,48 +576,20 @@ void Pipeline::Push(std::span<const net::Packet> packets) {
 
 void Pipeline::Push(const trace::Trace& trace) {
   for (const net::PacketRecord& record : trace.packets) {
-    AppendRecord(record, nullptr);
+    Append(net::Packet::View(record), /*pin=*/false);
   }
 }
 
-void Pipeline::AppendRecord(const net::PacketRecord& record, const uint8_t* payload_bytes,
-                            bool pin_payload) {
+void Pipeline::Append(const net::Packet& packet, bool pin) {
   EnsureOpen("Push");
-  const uint64_t bin = record.ts_us / bin_us_;
+  const uint64_t bin = packet.ts_us() / bin_us_;
   if (bin < open_bin_) {
     throw std::invalid_argument("Pipeline::Push: packet is older than the open time bin");
   }
   if (bin > open_bin_) {
     FlushThrough(bin);
   }
-  if (ingest_cap_ > 0 && open_records() >= ingest_cap_) {
-    ++ingest_dropped_;
-    if (m_ingest_dropped_ != nullptr) {
-      m_ingest_dropped_->Increment();
-    }
-    if (ingest_policy_ != rt::OverflowPolicy::kDropOldest) {
-      return;  // kDropNewest (Validate rejects kBlock)
-    }
-    // Evict by advancing the head; the evicted payload bytes idle in the
-    // arena until the bin closes (see the ingest_head_ comment).
-    wire_bytes_ -= records_[ingest_head_].wire_len;
-    ++ingest_head_;
-  }
-  records_.push_back(record);
-  const bool pin = pin_payload && payload_bytes != nullptr && record.payload_len > 0;
-  pinned_.push_back(pin ? payload_bytes : nullptr);
-  payload_offsets_.push_back(arena_.size());
-  if (record.payload_len > 0 && !pin) {
-    arena_.resize(arena_.size() + record.payload_len);
-    uint8_t* dst = arena_.data() + payload_offsets_.back();
-    if (payload_bytes != nullptr) {
-      std::copy_n(payload_bytes, record.payload_len, dst);
-      ingest_copied_bytes_ += record.payload_len;
-    } else {
-      trace::MaterializePayload(record, dst);
-    }
-  }
-  wire_bytes_ += record.wire_len;
+  open_.Add(packet, pin);
 }
 
 void Pipeline::AdvanceTime(uint64_t ts_us) {
@@ -657,22 +607,7 @@ void Pipeline::FlushThrough(uint64_t bin_index) {
 }
 
 void Pipeline::CloseOpenBin() {
-  batch_.start_us = open_bin_ * bin_us_;
-  batch_.duration_us = bin_us_;
-  batch_.wire_bytes = wire_bytes_;
-  batch_.packets.clear();
-  batch_.packets.reserve(open_records());
-  for (size_t i = ingest_head_; i < records_.size(); ++i) {
-    net::Packet packet;
-    packet.rec = &records_[i];
-    packet.payload_len = records_[i].payload_len;
-    // Pinned payloads alias the producer's buffer (capture slots, alive
-    // until this bin closes); everything else lives in the arena.
-    packet.payload = records_[i].payload_len == 0 ? nullptr
-                     : pinned_[i] != nullptr      ? pinned_[i]
-                                                  : arena_.data() + payload_offsets_[i];
-    batch_.packets.push_back(packet);
-  }
+  open_.Seal();
 
   // Deadline bracket: the directive shaped by bin N-1's overrun applies to
   // this bin, and this bin's wall-clock verdict shapes bin N+1 — never the
@@ -683,7 +618,7 @@ void Pipeline::CloseOpenBin() {
     if (governor_ != nullptr) {
       system_->SetDegradation(governor_->Begin());
     }
-    system_->ProcessBatch(batch_);
+    system_->ProcessBatch(open_);
     UpdateTallies(system_->log().back());
     if (governor_ != nullptr) {
       governor_->End(bin_us_, open_bin_);
@@ -702,21 +637,15 @@ void Pipeline::CloseOpenBin() {
     }
   }
 
-  batch_.packets.clear();
-  records_.clear();
-  payload_offsets_.clear();
-  arena_.clear();
-  pinned_.clear();
-  ingest_head_ = 0;
-  wire_bytes_ = 0;
   ++bins_processed_;
   ++open_bin_;
+  open_.Reset(open_bin_ * bin_us_, bin_us_);
   MaybeCheckpoint();
   RefreshStats();
 }
 
 void Pipeline::RunReferences() {
-  const query::BatchInput in{batch_.packets, batch_.start_us, batch_.duration_us, 1.0};
+  const query::BatchInput in{open_.packets, open_.start_us, open_.duration_us, 1.0};
   const auto run_one = [&](size_t i) {
     Slot& slot = slots_[i];
     if (slot.reference == nullptr) {
@@ -766,7 +695,7 @@ void Pipeline::Finish() {
     return;
   }
   StopCapture();  // drain everything already captured into the open bin
-  if (open_records() > 0) {
+  if (open_.size() > 0) {
     CloseOpenBin();
   }
   system_->Finish();
@@ -834,7 +763,6 @@ PipelineStats Pipeline::ComputeStats() const {
   stats.mean_utilization = tally_bins_ > 0 ? util_sum_ / static_cast<double>(tally_bins_) : 0.0;
   stats.prediction_error_ewma = system_->error_ewma_value();
   stats.backlog_cycles = system_->backlog_cycles();
-  stats.ingest_dropped = ingest_dropped_;
   stats.deadline_misses = governor_ != nullptr ? governor_->deadline_misses() : 0;
   stats.degradation_level = governor_ != nullptr ? governor_->level() : 0;
   stats.checkpoints = checkpoints_written_;
@@ -884,7 +812,7 @@ void Pipeline::MaybeCheckpoint() {
   }
   // Snapshots are only legal on measurement-interval boundaries; off-cadence
   // configurations simply skip until the two align.
-  if (!system_->AtIntervalBoundary() || open_records() > 0) {
+  if (!system_->AtIntervalBoundary() || open_.size() > 0) {
     return;
   }
   try {
@@ -1002,8 +930,6 @@ void StatsToJson(const PipelineStats& stats, size_t quarantined_sinks, std::ostr
   out << stats.prediction_error_ewma;
   AppendJsonKey(out, first, "backlog_cycles");
   out << stats.backlog_cycles;
-  AppendJsonKey(out, first, "ingest_dropped");
-  out << stats.ingest_dropped;
   AppendJsonKey(out, first, "deadline_misses");
   out << stats.deadline_misses;
   AppendJsonKey(out, first, "degradation_level");

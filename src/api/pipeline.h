@@ -21,7 +21,6 @@
 #include "src/obs/trace.h"
 #include "src/query/accuracy.h"
 #include "src/query/query.h"
-#include "src/rt/bounded_queue.h"
 #include "src/rt/clock.h"
 #include "src/rt/fault.h"
 #include "src/rt/governor.h"
@@ -70,7 +69,6 @@ struct PipelineStats {
   double prediction_error_ewma = 0.0;
   double backlog_cycles = 0.0;
   // Real-time robustness tallies (all zero unless the rt features are on).
-  uint64_t ingest_dropped = 0;   // records rejected by the bounded ingest buffer
   uint64_t deadline_misses = 0;  // bins that overran their wall-clock budget
   int degradation_level = 0;     // current ladder rung (0 = none)
   size_t checkpoints = 0;        // crash-safe checkpoints written
@@ -216,14 +214,6 @@ class PipelineBuilder {
   // inject a rt::ManualClock for deterministic tests. Defaults to the
   // steady-clock rt::SystemClock.
   PipelineBuilder& RtClock(std::shared_ptr<rt::Clock> clock);
-  // Bounds the open-bin ingest buffer to `max_records` packets. kDropNewest
-  // (the default policy) rejects arrivals while full; kDropOldest evicts the
-  // oldest buffered record. kBlock is rejected with ConfigError: Push is
-  // synchronous, so there is nothing to block and the cap would do nothing.
-  // 0 disables (the default). Drops are tallied in PipelineStats and
-  // shedmon_rt_ingest_dropped_total, never in BinLog packet fields.
-  PipelineBuilder& IngestCap(size_t max_records,
-                             rt::OverflowPolicy policy = rt::OverflowPolicy::kDropNewest);
   // Attaches a seeded deterministic fault plan (see rt::FaultPlan) injected
   // into the coordinator loop, exec workers, sinks and checkpoint writes.
   PipelineBuilder& InjectFaults(const rt::FaultPlan& plan);
@@ -300,8 +290,6 @@ class PipelineBuilder {
   bool deadline_enabled_ = false;
   rt::GovernorConfig governor_config_;
   std::shared_ptr<rt::Clock> clock_;
-  size_t ingest_cap_ = 0;
-  rt::OverflowPolicy ingest_policy_ = rt::OverflowPolicy::kDropNewest;
   bool has_fault_plan_ = false;
   rt::FaultPlan fault_plan_;
   std::string checkpoint_path_;
@@ -331,8 +319,9 @@ class PipelineBuilder {
 // (Fig. 6.9's arrivals, plus the removal today's index-based API forbids).
 //
 // Determinism: pushing a time-sorted trace through Push produces BinLogs and
-// accuracies field-identical to the historical batch path (Batcher +
-// MonitoringSystem::ProcessBatch + query::RunReference) at any num_threads.
+// accuracies field-identical to the batch path (Batcher +
+// MonitoringSystem::ProcessBatch + query::RunReference) at any num_threads:
+// both assemble every bin with the same trace::Batch Reset/Add/Seal.
 //
 // Not thread-safe: Push/AddQuery/Detach/Finish must come from one thread
 // (the coordinator). Worker parallelism lives behind SystemConfig::
@@ -476,7 +465,6 @@ class Pipeline {
   // A driver replaying input into a restored pipeline skips packets whose
   // bin is older than this.
   uint64_t next_bin() const { return open_bin_; }
-  uint64_t ingest_dropped() const { return ingest_dropped_; }
   size_t checkpoints_written() const { return checkpoints_written_; }
 
   // ---- Snapshot ----------------------------------------------------------
@@ -524,12 +512,10 @@ class Pipeline {
   size_t SlotIndex(uint64_t id) const;          // throws std::logic_error when stale
   QueryHandle Register(const core::QueryConfig& config, std::unique_ptr<query::Query> query,
                        std::unique_ptr<query::Query> reference);
-  // Appends one record to the open bin, closing earlier bins first; null
-  // payload bytes mean "materialize deterministically from the record".
-  // pin_payload borrows the payload bytes instead of copying them into the
-  // arena (PushPinned's contract: they outlive the bin).
-  void AppendRecord(const net::PacketRecord& record, const uint8_t* payload_bytes,
-                    bool pin_payload = false);
+  // Adds one packet to the open bin (trace::Batch::Add), closing earlier
+  // bins first. `pin` is PushPinned's contract: the payload bytes outlive
+  // the bin.
+  void Append(const net::Packet& packet, bool pin);
   // Closes bins until `bin_index` is the open one.
   void FlushThrough(uint64_t bin_index);
   // Processes the open bin's packets (possibly none), advances the reference
@@ -547,7 +533,6 @@ class Pipeline {
   PipelineStats ComputeStats() const;
   void RefreshStats();
   obs::ObsServer::Response HandleHttp(const std::string& raw_path) const;
-  size_t open_records() const { return records_.size() - ingest_head_; }
 
   bool track_accuracy_;
   bool default_min_rates_;
@@ -556,23 +541,13 @@ class Pipeline {
   std::vector<Slot> slots_;
   uint64_t next_id_ = 1;
 
-  // Open-bin assembler: records and payload bytes accumulate in push order;
-  // Packet views are fixed up against the final buffer addresses when the
-  // bin closes, so mid-bin reallocation is harmless. With a bounded ingest
-  // buffer, ingest_head_ indexes the oldest record still alive: kDropOldest
-  // evicts by advancing it (the evicted payload bytes idle in the arena
-  // until the bin closes), so records_[ingest_head_..] is the open bin.
+  // The open bin, assembled packet by packet and sealed when it closes; one
+  // Batch is reused for every bin. Push is synchronous and the capture
+  // front-end pins one of its CaptureConfig::slots per packet until the bin
+  // closes, so the bin holds at most what the caller or the slot ring does.
   uint64_t bin_us_;
   uint64_t open_bin_ = 0;
-  std::vector<net::PacketRecord> records_;
-  std::vector<size_t> payload_offsets_;
-  std::vector<uint8_t> arena_;
-  // Parallel to records_: a non-null entry is a borrowed (pinned) payload
-  // view that replaces the arena bytes for that record (PushPinned).
-  std::vector<const uint8_t*> pinned_;
-  size_t ingest_head_ = 0;
-  uint64_t wire_bytes_ = 0;
-  trace::Batch batch_;  // reused scratch; views point into records_/arena_
+  trace::Batch open_;
 
   // Real-time robustness state (see src/rt). The clock is shared by the
   // governor, fault injector and sink retry backoff so one ManualClock
@@ -580,11 +555,7 @@ class Pipeline {
   std::shared_ptr<rt::Clock> clock_;
   std::unique_ptr<rt::DeadlineGovernor> governor_;
   std::unique_ptr<rt::FaultInjector> injector_;
-  size_t ingest_cap_ = 0;
-  rt::OverflowPolicy ingest_policy_ = rt::OverflowPolicy::kDropNewest;
-  uint64_t ingest_dropped_ = 0;
   uint64_t ingest_copied_bytes_ = 0;
-  obs::Counter* m_ingest_dropped_ = nullptr;
   std::string checkpoint_path_;
   size_t checkpoint_every_ = 0;
   size_t checkpoints_written_ = 0;

@@ -110,7 +110,7 @@ core::SystemConfig ReadSystemConfig(obs::SnapshotReader& r) {
 }  // namespace
 
 void Pipeline::Snapshot(std::ostream& out) const {
-  if (!records_.empty()) {
+  if (open_.size() > 0) {
     throw obs::SnapshotError(
         "Pipeline::Snapshot: the open bin holds packets; snapshot between bins "
         "(after AdvanceTime to a bin boundary)");

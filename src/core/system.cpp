@@ -757,6 +757,13 @@ void MonitoringSystem::RunReactive(const trace::Batch& batch, BinLog& log) {
       });
   RunShardWaves(batch, ex, results);
   for (size_t q = 0; q < n; ++q) {
+    if (disabled[q]) {
+      // A truncated query sheds its whole batch, counted as RunPredictive
+      // counts a query it does not execute.
+      log.packets_unsampled += static_cast<double>(batch.size()) /
+                               std::max<double>(1.0, static_cast<double>(n));
+      continue;
+    }
     const QueryTaskResult& r = results[q];
     for (size_t c = 0; c < r.num_charges; ++c) {
       (r.charges[c].ls ? log.ls_cycles : log.ps_cycles) += r.charges[c].cycles;

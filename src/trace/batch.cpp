@@ -52,6 +52,55 @@ void MaterializePayload(const net::PacketRecord& rec, uint8_t* out) {
   std::memcpy(out, sig.data(), n);
 }
 
+void Batch::Reset(uint64_t start, uint64_t duration) {
+  start_us = start;
+  duration_us = duration;
+  packets.clear();
+  records.clear();
+  arena.clear();
+  wire_bytes = 0;
+}
+
+void Batch::Reserve(size_t num_packets, size_t payload_bytes) {
+  packets.reserve(packets.size() + num_packets);
+  records.reserve(records.size() + num_packets);
+  arena.reserve(arena.size() + payload_bytes);
+}
+
+void Batch::Add(const net::Packet& packet, bool pin) {
+  net::PacketRecord& rec = records.emplace_back(*packet.rec);
+  rec.payload_len = packet.payload_len;
+  wire_bytes += rec.wire_len;
+  // Until Seal, a view carries only what Seal cannot recompute: a borrowed
+  // payload pointer. Arena payloads are laid out in Add order, so Seal finds
+  // each one by a running offset.
+  const uint8_t* borrowed = nullptr;
+  if (rec.payload_len > 0) {
+    if (packet.payload == nullptr) {
+      const size_t offset = arena.size();
+      arena.resize(offset + rec.payload_len);
+      MaterializePayload(rec, arena.data() + offset);
+    } else if (pin) {
+      borrowed = packet.payload;
+    } else {
+      arena.insert(arena.end(), packet.payload, packet.payload + rec.payload_len);
+    }
+  }
+  packets.push_back(net::Packet{nullptr, borrowed, rec.payload_len});
+}
+
+void Batch::Seal() {
+  size_t offset = 0;
+  for (size_t i = 0; i < packets.size(); ++i) {
+    net::Packet& pkt = packets[i];
+    pkt.rec = &records[i];
+    if (pkt.payload_len > 0 && pkt.payload == nullptr) {
+      pkt.payload = arena.data() + offset;
+      offset += pkt.payload_len;
+    }
+  }
+}
+
 Batcher::Batcher(const Trace& trace, uint64_t bin_us) : trace_(trace), bin_us_(bin_us) {
   const uint64_t dur = trace.duration_us();
   num_bins_ = dur == 0 ? 0 : static_cast<size_t>((dur + bin_us - 1) / bin_us);
@@ -70,40 +119,20 @@ bool Batcher::Next(Batch& out) {
   const uint64_t end = start + bin_us_;
   ++next_bin_;
 
-  out.start_us = start;
-  out.duration_us = bin_us_;
-  out.packets.clear();
-  out.arena.clear();
-  out.wire_bytes = 0;
-
+  out.Reset(start, bin_us_);
   const size_t first = cursor_;
-  size_t payload_total = 0;
+  size_t payload_bytes = 0;
   while (cursor_ < trace_.packets.size() && trace_.packets[cursor_].ts_us < end) {
-    payload_total += trace_.packets[cursor_].payload_len;
+    payload_bytes += trace_.packets[cursor_].payload_len;
     ++cursor_;
   }
-  const size_t count = cursor_ - first;
-  hw_packets_ = std::max(hw_packets_, count);
-  hw_payload_ = std::max(hw_payload_, payload_total);
-  out.packets.reserve(hw_packets_);
-  out.arena.reserve(hw_payload_);
-  out.arena.resize(payload_total);
-
-  size_t offset = 0;
+  // Sized once per bin: grown packet by packet from empty, the arena would
+  // fault in fresh pages at every doubling.
+  out.Reserve(cursor_ - first, payload_bytes);
   for (size_t i = first; i < cursor_; ++i) {
-    const net::PacketRecord& rec = trace_.packets[i];
-    net::Packet pkt;
-    pkt.rec = &rec;
-    pkt.payload_len = rec.payload_len;
-    if (rec.payload_len > 0) {
-      uint8_t* dst = out.arena.data() + offset;
-      MaterializePayload(rec, dst);
-      pkt.payload = dst;
-      offset += rec.payload_len;
-    }
-    out.packets.push_back(pkt);
-    out.wire_bytes += rec.wire_len;
+    out.Add(net::Packet::View(trace_.packets[i]));
   }
+  out.Seal();
   return true;
 }
 

@@ -12,14 +12,19 @@ namespace shedmon::trace {
 
 using PacketVec = std::vector<net::Packet>;
 
-// One 100 ms time bin of traffic (the paper's "batch", §2.4). Owns the
-// materialized payload bytes for its packets in `arena`; Packet views point
-// into the arena, so a Batch is movable but not copyable.
+// One 100 ms time bin of traffic (the paper's "batch", §2.4): copies of the
+// bin's packet records, the payload bytes they carry, and the Packet views
+// queries read. There is one way to assemble a bin — Reset, Add each packet,
+// Seal — and both Batcher and api::Pipeline use it. The views point into the
+// batch's own records and arena (or at pinned caller memory), so a Batch is
+// movable but not copyable. Reusing one Batch across bins keeps its buffers'
+// capacity: after the largest bin has been seen, assembly allocates nothing.
 struct Batch {
   uint64_t start_us = 0;
   uint64_t duration_us = 0;
   PacketVec packets;
-  std::vector<uint8_t> arena;
+  std::vector<net::PacketRecord> records;  // parallel to packets
+  std::vector<uint8_t> arena;              // copied and materialized payloads
   uint64_t wire_bytes = 0;
 
   Batch() = default;
@@ -27,6 +32,25 @@ struct Batch {
   Batch& operator=(const Batch&) = delete;
   Batch(Batch&&) = default;
   Batch& operator=(Batch&&) = default;
+
+  // Empties the batch for the bin [start_us, start_us + duration_us).
+  void Reset(uint64_t start_us, uint64_t duration_us);
+
+  // Makes room for `num_packets` more packets carrying `payload_bytes` more
+  // arena bytes, for a caller that knows the bin's size before adding it.
+  void Reserve(size_t num_packets, size_t payload_bytes);
+
+  // Appends one packet. The record is copied, with payload_len cut to
+  // packet.payload_len (the bytes actually held, e.g. after a snaplen). The
+  // payload is materialized from the record when packet.payload is null,
+  // borrowed when `pin` is set (the caller keeps the bytes alive until the
+  // batch is next Reset), and copied into the arena otherwise. The new
+  // packet's view is valid only after Seal.
+  void Add(const net::Packet& packet, bool pin = false);
+
+  // Points every packet view at its record and payload bytes. Call once,
+  // after the last Add: the buffers may have moved while the bin grew.
+  void Seal();
 
   size_t size() const { return packets.size(); }
 };
@@ -44,13 +68,8 @@ std::string_view GnutellaSignature();
 std::string_view EdonkeySignature();
 
 // Splits a trace into consecutive fixed-length bins. Bins with no packets
-// yield empty batches so the consumer sees every time bin.
-//
-// Callers are expected to reuse one Batch across Next() calls: the packet
-// vector and payload arena are cleared, not freed, so after the largest bin
-// has been seen the batcher allocates nothing per bin. Fresh (or undersized)
-// batches are pre-sized to the high-water marks of the bins consumed so far,
-// so a burst grows the buffers once instead of once per growth step.
+// yield empty batches so the consumer sees every time bin. Callers are
+// expected to reuse one Batch across Next() calls (see Batch).
 class Batcher {
  public:
   Batcher(const Trace& trace, uint64_t bin_us = 100'000);
@@ -68,8 +87,6 @@ class Batcher {
   size_t num_bins_;
   size_t cursor_ = 0;    // index into trace_.packets
   size_t next_bin_ = 0;
-  size_t hw_packets_ = 0;  // largest bin seen, in packets
-  size_t hw_payload_ = 0;  // largest bin seen, in arena bytes
 };
 
 }  // namespace shedmon::trace

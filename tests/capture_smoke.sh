@@ -52,6 +52,14 @@ wait "$pid" || { echo "FAIL: capture exited non-zero after SIGTERM"; cat cap.err
 
 grep -q '^capture: ' cap.out || { echo "FAIL: no capture stats line"; cat cap.out; exit 1; }
 grep -q 'accuracy error' cap.out || { echo "FAIL: no results table"; cat cap.out; exit 1; }
+# Without --config a live probe tracks no accuracy (no reference instances),
+# so every query's accuracy column reads '-'.
+python3 - <<'PY' || { echo "FAIL: capture tracked accuracy by default"; cat cap.out; exit 1; }
+rows = [line.split() for line in open("cap.out")
+        if line.split() and line.split()[0] in ("counter", "flows")]
+assert len(rows) == 2, rows
+assert all(row[-1] == "-" for row in rows), rows
+PY
 [ -s bins.csv ] || { echo "FAIL: --csv wrote nothing"; exit 1; }
 grep -q 'shedmon_capture_packets_total' metrics.prom || {
   echo "FAIL: metrics lack shedmon_capture_packets_total"; cat metrics.prom | head; exit 1; }

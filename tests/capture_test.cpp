@@ -323,6 +323,45 @@ TEST(Capture, SnapLengthTruncatesOversizedFramesAndCounts) {
   EXPECT_GT(stats.truncated, 0u);
 }
 
+// A packet holds its capture slot until its bin closes, so the slot count
+// bounds the open bin: with the clock frozen (no bin ever closes on its own)
+// and a drop policy, frames beyond the slots are counted as no-slot drops
+// and never reach the pipeline.
+TEST(Capture, OpenBinIsBoundedBySlotCount) {
+  constexpr size_t kSlots = 8;
+  capture::CaptureConfig cc;
+  cc.sources.push_back(capture::SourceSpec::Tcp(0));
+  cc.clock = std::make_shared<rt::ManualClock>();
+  cc.slots = kSlots;
+  cc.overflow = rt::OverflowPolicy::kDropNewest;
+  api::PipelineBuilder builder = Builder(0, 1);
+  builder.CaptureFrom(cc);
+  auto pipeline = builder.BuildUnique();
+
+  // Five times the slot count, every record inside bin 0.
+  trace::Trace burst;
+  burst.packets.assign(CaptureTrace().packets.begin(),
+                       CaptureTrace().packets.begin() + 5 * kSlots);
+  for (size_t i = 0; i < burst.packets.size(); ++i) {
+    burst.packets[i].ts_us = 10 * i;
+  }
+  const size_t sent = burst.packets.size();
+  EXPECT_EQ(capture::ReplayTraceTcp(burst, pipeline->capture()->port(0)), sent);
+  ASSERT_TRUE(WaitUntil([&] {
+    const capture::CaptureStats stats = pipeline->capture_stats();
+    return stats.packets + stats.dropped_no_slot >= sent;
+  }));
+  pipeline->Finish();
+
+  const capture::CaptureStats stats = pipeline->capture_stats();
+  ASSERT_EQ(pipeline->log().size(), 1u);
+  const core::BinLog& bin = pipeline->log().front();
+  EXPECT_EQ(bin.packets_in, stats.packets);
+  EXPECT_LE(bin.packets_in, kSlots);
+  EXPECT_EQ(stats.dropped_no_slot, sent - stats.packets);
+  EXPECT_EQ(stats.dropped(), stats.dropped_no_slot);
+}
+
 TEST(Capture, UdpRawDatagramWithoutMagicIsTreatedAsAFrame) {
   auto pipeline = BuildLive(0, 1, capture::SourceSpec::Udp(0));
   const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Setting names on the CLI are strict: both accepted spellings of a name
 # (the flag's short one and the config file's long one) run the same
-# pipeline, and an unknown name exits 2 instead of silently falling back to
-# a default.
+# pipeline, and an unknown name or flag exits 2 instead of silently falling
+# back to a default.
 #
 # usage: cli_names_smoke.sh <path-to-shedmon_cli>
 set -euo pipefail
@@ -40,7 +40,7 @@ mv run.out a.out
 run --strategy pkt
 cmp -s a.out run.out && { echo "FAIL: --strategy cpu and pkt give the same table"; exit 1; }
 
-# Unknown names, and the ingest cap's removed block policy, exit 2.
+# Unknown names and unknown flags exit 2 instead of running the default.
 rejected() {
   local status=0
   run "$@" || status=$?
@@ -49,6 +49,9 @@ rejected() {
 rejected --strategy bogus
 rejected --shedder reactve
 rejected --oracle bogus
+rejected --quries counter
+# The open-bin ingest cap is gone (the capture slot ring bounds the open
+# bin), so its old flags are unknown flags now, not silently ignored ones.
 rejected --ingest-cap 100 --ingest-policy block
 rejected --ingest-cap 100 --ingest-policy bogus
 

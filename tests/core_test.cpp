@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <iterator>
 #include <memory>
 #include <vector>
@@ -389,6 +390,73 @@ TEST(System, QueryArrivalMidRunIsAbsorbed) {
   EXPECT_EQ(system.num_queries(), 3u);
   EXPECT_EQ(system.total_dropped(), 0u);
   EXPECT_GT(system.query(2).completed_intervals(), 3u);
+}
+
+// Counts the packets each batch hands the query: what it processed.
+class PacketTally final : public query::Query {
+ public:
+  PacketTally() : query::Query("counter", 10) {}
+  size_t packets() const { return packets_; }
+
+ protected:
+  void OnBatch(const query::BatchInput& in) override {
+    packets_ += in.packets.size();
+    ChargeWork(static_cast<double>(in.packets.size()));
+  }
+  void OnEndInterval(size_t /*interval_index*/) override {}
+
+ private:
+  size_t packets_ = 0;
+};
+
+// Every packet of a bin is, for each query, processed, deliberately shed or
+// dropped uncontrolled: packets_in = mean over queries of the processed
+// packets + packets_unsampled + packets_dropped. A query the deadline
+// ladder truncates sheds its whole batch, under either shedder.
+TEST(System, TruncatedQueriesAreCountedAsShedUnderBothShedders) {
+  const auto t = trace::TraceGenerator(TestSpec()).Generate();
+  const double demand =
+      MeasureMeanDemand({"counter", "counter", "counter"}, t, OracleKind::kModel);
+  for (const ShedderKind shedder : {ShedderKind::kPredictive, ShedderKind::kReactive}) {
+    SCOPED_TRACE(shedder == ShedderKind::kPredictive ? "predictive" : "reactive");
+    SystemConfig cfg;
+    cfg.cycles_per_bin = 0.5 * demand;
+    cfg.shedder = shedder;
+    MonitoringSystem system(cfg, MakeOracle(OracleKind::kModel));
+    std::vector<const PacketTally*> tallies;
+    for (int i = 0; i < 3; ++i) {
+      auto tally = std::make_unique<PacketTally>();
+      tallies.push_back(tally.get());
+      system.AddQuery(std::move(tally));
+    }
+    system.SetDegradation({rt::DegradeAction::kTruncate, 1.0, 1});
+
+    trace::Batcher batcher(t, 100'000);
+    trace::Batch batch;
+    size_t truncated_bins = 0;
+    while (batcher.Next(batch)) {
+      std::vector<size_t> before;
+      for (const PacketTally* tally : tallies) {
+        before.push_back(tally->packets());
+      }
+      system.ProcessBatch(batch);
+      const BinLog& log = system.log().back();
+      double processed = 0.0;
+      for (size_t q = 0; q < tallies.size(); ++q) {
+        processed += static_cast<double>(tallies[q]->packets() - before[q]);
+      }
+      processed /= static_cast<double>(tallies.size());
+      const double in = static_cast<double>(log.packets_in);
+      EXPECT_NEAR(processed + log.packets_unsampled + static_cast<double>(log.packets_dropped),
+                  in, 1e-9 * std::max(1.0, in))
+          << "bin at " << log.start_us;
+      if (log.disabled.back()) {
+        ++truncated_bins;
+        EXPECT_EQ(tallies.back()->packets(), before.back());
+      }
+    }
+    EXPECT_GT(truncated_bins, 0u);
+  }
 }
 
 TEST(Runner, DefaultMinRatesMatchTable52) {

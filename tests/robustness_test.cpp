@@ -242,8 +242,7 @@ TEST(Robustness, NoFaultRunsAreBitIdenticalAtEveryThreadAndShardCount) {
       }
       SCOPED_TRACE("threads " + std::to_string(threads) + " shards " + std::to_string(shards));
       // Everything armed: governor (never fires — the ManualClock does not
-      // move), fault injector with an empty plan, bounded ingest with a cap
-      // far above any bin, sink retry on a JSONL sink.
+      // move), fault injector with an empty plan, sink retry on a JSONL sink.
       const std::string jsonl = ::testing::TempDir() + "shedmon_robustness_identity.jsonl";
       auto armed = api::PipelineBuilder()
                        .Config(BaseConfig(threads, shards))
@@ -253,7 +252,6 @@ TEST(Robustness, NoFaultRunsAreBitIdenticalAtEveryThreadAndShardCount) {
                        .RtClock(std::make_shared<rt::ManualClock>())
                        .Deadline(0.9)
                        .InjectFaults(rt::FaultPlan::Parse("seed=42"))
-                       .IngestCap(1 << 20, rt::OverflowPolicy::kDropNewest)
                        .SinkRetry(rt::RetryPolicy{})
                        .BuildUnique();
       armed->Push(RobustnessTrace());
@@ -261,84 +259,9 @@ TEST(Robustness, NoFaultRunsAreBitIdenticalAtEveryThreadAndShardCount) {
 
       ExpectBinLogsIdentical(golden->log(), armed->log());
       EXPECT_EQ(armed->Stats().deadline_misses, 0u);
-      EXPECT_EQ(armed->Stats().ingest_dropped, 0u);
       std::remove(jsonl.c_str());
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// Bounded ingest
-// ---------------------------------------------------------------------------
-
-net::PacketRecord RecordAt(uint64_t ts_us, uint16_t wire_len) {
-  net::PacketRecord record;
-  record.ts_us = ts_us;
-  record.wire_len = wire_len;
-  return record;
-}
-
-TEST(Robustness, IngestCapDropNewestKeepsTheHeadOfEachBin) {
-  auto pipeline = api::PipelineBuilder()
-                      .AddQuery("counter")
-                      .IngestCap(10, rt::OverflowPolicy::kDropNewest)
-                      .BuildUnique();
-  for (int i = 0; i < 25; ++i) {
-    pipeline->Push(net::Packet::View(RecordAt(1000 * static_cast<uint64_t>(i), 100)));
-  }
-  pipeline->AdvanceTime(100'000);  // close bin 0
-  EXPECT_EQ(pipeline->log().back().packets_in, 10u);
-  EXPECT_EQ(pipeline->ingest_dropped(), 15u);
-  EXPECT_EQ(pipeline->Stats().ingest_dropped, 15u);
-  // Drops are ingest-buffer accounting, never BinLog packet fields.
-  EXPECT_EQ(pipeline->log().back().packets_dropped, 0u);
-  EXPECT_EQ(CounterValue(pipeline->Metrics(), "shedmon_rt_ingest_dropped_total"), 15.0);
-}
-
-TEST(Robustness, IngestCapDropOldestKeepsTheTailOfEachBin) {
-  auto pipeline = api::PipelineBuilder()
-                      .IngestCap(10, rt::OverflowPolicy::kDropOldest)
-                      .BuildUnique();
-  api::QueryHandle counter = pipeline->AddQuery("counter");
-  // Distinct wire lengths let the counter query prove WHICH records survived.
-  for (int i = 0; i < 25; ++i) {
-    const uint16_t wire = static_cast<uint16_t>(i < 15 ? 100 : 500);
-    pipeline->Push(net::Packet::View(RecordAt(1000 * static_cast<uint64_t>(i), wire)));
-  }
-  pipeline->AdvanceTime(100'000);
-  pipeline->Finish();
-  EXPECT_EQ(pipeline->log().back().packets_in, 10u);
-  EXPECT_EQ(pipeline->ingest_dropped(), 15u);
-  // The survivors are the LAST ten records (the 500-byte ones).
-  const auto& snaps = dynamic_cast<const query::CounterQuery&>(counter.query()).snapshots();
-  ASSERT_FALSE(snaps.empty());
-  EXPECT_EQ(snaps.back().pkts, 10.0);
-  EXPECT_EQ(snaps.back().bytes, 10.0 * 500.0);
-}
-
-TEST(Robustness, IngestCapResetsAtEveryBinBoundary) {
-  auto pipeline = api::PipelineBuilder()
-                      .AddQuery("counter")
-                      .IngestCap(10, rt::OverflowPolicy::kDropNewest)
-                      .BuildUnique();
-  for (int bin = 0; bin < 3; ++bin) {
-    for (int i = 0; i < 12; ++i) {
-      pipeline->Push(net::Packet::View(
-          RecordAt(100'000 * static_cast<uint64_t>(bin) + static_cast<uint64_t>(i), 100)));
-    }
-  }
-  pipeline->Finish();
-  ASSERT_EQ(pipeline->log().size(), 3u);
-  for (const core::BinLog& log : pipeline->log()) {
-    EXPECT_EQ(log.packets_in, 10u);
-  }
-  EXPECT_EQ(pipeline->ingest_dropped(), 6u);
-}
-
-TEST(Robustness, IngestCapRejectsTheBlockPolicy) {
-  // Push is synchronous: a "blocking" cap could never block, only absorb.
-  EXPECT_THROW(api::PipelineBuilder().IngestCap(10, rt::OverflowPolicy::kBlock).BuildUnique(),
-               ConfigError);
 }
 
 // ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "src/net/frame.h"
 #include "src/trace/anomaly.h"
@@ -185,6 +186,212 @@ TEST(Anomaly, ByteBurstUsesLargePackets) {
   for (const auto& p : t.packets) {
     EXPECT_EQ(p.wire_len, 1500);
   }
+}
+
+// Batch::Add is the one bin assembler (Batcher and api::Pipeline both call
+// it): every payload mode, a snaplen-truncated packet and a header-only one
+// in one bin whose buffers reallocate while it grows.
+TEST(BatchAdd, CopiesRecordsAndPlacesPayloadsInEveryMode) {
+  const auto record = [](uint64_t ts_us, uint16_t payload_len, uint32_t seed) {
+    net::PacketRecord rec;
+    rec.ts_us = ts_us;
+    rec.tuple = {0x0a000001u + seed, 0x0a000002u, static_cast<uint16_t>(1000 + seed), 80,
+                 net::kProtoTcp};
+    rec.wire_len = static_cast<uint16_t>(40 + payload_len);
+    rec.payload_len = payload_len;
+    rec.tcp_flags = net::kTcpAck;
+    rec.app = net::AppClass::kWeb;
+    rec.payload_class = net::PayloadClass::kHttpRequest;
+    rec.payload_seed = seed;
+    return rec;
+  };
+  const std::vector<net::PacketRecord> recs = {
+      record(10, 40, 1),  // materialized
+      record(20, 30, 2),  // copied
+      record(30, 20, 3),  // pinned
+      record(40, 50, 4),  // snap-truncated to 12 bytes, copied
+      record(50, 50, 5),  // snap-truncated to 12 bytes, materialized
+      record(60, 0, 6),   // header-only
+  };
+  std::vector<uint8_t> src(64);
+  for (size_t i = 0; i < src.size(); ++i) {
+    src[i] = static_cast<uint8_t>(3 * i + 1);
+  }
+  const std::vector<uint8_t> pinned(20, 0xab);
+
+  Batch batch;
+  batch.Reset(100'000, 100'000);
+  batch.Add(net::Packet::View(recs[0]));
+  batch.Add(net::Packet{&recs[1], src.data(), 30});
+  batch.Add(net::Packet{&recs[2], pinned.data(), 20}, /*pin=*/true);
+  batch.Add(net::Packet{&recs[3], src.data(), 12});
+  batch.Add(net::Packet{&recs[4], nullptr, 12});
+  batch.Add(net::Packet::View(recs[5]));
+  batch.Seal();
+
+  EXPECT_EQ(batch.start_us, 100'000u);
+  EXPECT_EQ(batch.duration_us, 100'000u);
+  ASSERT_EQ(batch.size(), recs.size());
+  uint64_t wire = 0;
+  for (size_t i = 0; i < recs.size(); ++i) {
+    SCOPED_TRACE("packet " + std::to_string(i));
+    const net::Packet& pkt = batch.packets[i];
+    ASSERT_EQ(pkt.rec, &batch.records[i]);  // a copy owned by the batch
+    EXPECT_EQ(pkt.rec->ts_us, recs[i].ts_us);
+    EXPECT_EQ(pkt.rec->tuple, recs[i].tuple);
+    EXPECT_EQ(pkt.rec->wire_len, recs[i].wire_len);
+    EXPECT_EQ(pkt.rec->tcp_flags, recs[i].tcp_flags);
+    EXPECT_EQ(pkt.rec->app, recs[i].app);
+    EXPECT_EQ(pkt.rec->payload_class, recs[i].payload_class);
+    EXPECT_EQ(pkt.rec->payload_seed, recs[i].payload_seed);
+    EXPECT_EQ(pkt.rec->payload_len, pkt.payload_len);  // the bytes actually held
+    wire += recs[i].wire_len;
+  }
+  EXPECT_EQ(batch.wire_bytes, wire);
+
+  const auto bytes = [](const net::Packet& pkt) {
+    return std::vector<uint8_t>(pkt.payload, pkt.payload + pkt.payload_len);
+  };
+  const auto materialized = [](net::PacketRecord rec, uint16_t len) {
+    rec.payload_len = len;
+    std::vector<uint8_t> out(len);
+    MaterializePayload(rec, out.data());
+    return out;
+  };
+  EXPECT_EQ(bytes(batch.packets[0]), materialized(recs[0], 40));
+  EXPECT_EQ(std::memcmp(batch.packets[0].payload, HttpSignature().data(), 20), 0);
+  EXPECT_EQ(bytes(batch.packets[1]), std::vector<uint8_t>(src.begin(), src.begin() + 30));
+  EXPECT_NE(batch.packets[1].payload, src.data());  // copied, not borrowed
+  EXPECT_EQ(batch.packets[2].payload, pinned.data());  // borrowed, not copied
+  EXPECT_EQ(batch.packets[3].payload_len, 12);
+  EXPECT_EQ(bytes(batch.packets[3]), std::vector<uint8_t>(src.begin(), src.begin() + 12));
+  EXPECT_EQ(batch.packets[4].payload_len, 12);
+  EXPECT_EQ(bytes(batch.packets[4]), materialized(recs[4], 12));
+  EXPECT_EQ(batch.packets[5].payload, nullptr);
+  EXPECT_EQ(batch.packets[5].payload_len, 0);
+  // Only the arena modes occupy the arena: 40 + 30 + 12 + 12 bytes.
+  EXPECT_EQ(batch.arena.size(), 94u);
+
+  // Reset empties the bin for reuse.
+  batch.Reset(200'000, 100'000);
+  EXPECT_EQ(batch.size(), 0u);
+  EXPECT_TRUE(batch.records.empty());
+  EXPECT_TRUE(batch.arena.empty());
+  EXPECT_EQ(batch.wire_bytes, 0u);
+  EXPECT_EQ(batch.start_us, 200'000u);
+}
+
+// With nothing reserved, the records and the arena reallocate many times
+// while the bin grows; Seal must point every view at the final buffers.
+// Copied bytes are taken at Add time, so the source may change afterwards.
+TEST(BatchAdd, SealPointsViewsAtBuffersThatMovedWhileTheBinGrew) {
+  constexpr size_t kPackets = 600;
+  constexpr uint16_t kLen = 33;
+  std::vector<net::PacketRecord> recs(kPackets);
+  for (size_t i = 0; i < kPackets; ++i) {
+    recs[i].ts_us = 1000 + i;
+    recs[i].wire_len = 40 + kLen;
+    recs[i].payload_len = kLen;
+    recs[i].payload_class = net::PayloadClass::kRandom;
+    recs[i].payload_seed = static_cast<uint32_t>(i);
+  }
+  const std::vector<uint8_t> pinned(kLen, 0x5a);
+  std::vector<uint8_t> src(kLen);
+  std::vector<std::vector<uint8_t>> expected(kPackets);
+
+  Batch batch;
+  batch.Reset(0, 100'000);
+  batch.Add(net::Packet::View(recs[0]));
+  expected[0].resize(kLen);
+  MaterializePayload(recs[0], expected[0].data());
+  const size_t first_arena_capacity = batch.arena.capacity();
+  const size_t first_records_capacity = batch.records.capacity();
+  for (size_t i = 1; i < kPackets; ++i) {
+    switch (i % 3) {
+      case 0:  // materialized
+        batch.Add(net::Packet::View(recs[i]));
+        expected[i].resize(kLen);
+        MaterializePayload(recs[i], expected[i].data());
+        break;
+      case 1:  // copied, then the source is overwritten
+        std::fill(src.begin(), src.end(), static_cast<uint8_t>(i));
+        batch.Add(net::Packet{&recs[i], src.data(), kLen});
+        expected[i] = src;
+        std::fill(src.begin(), src.end(), 0xff);
+        break;
+      default:  // pinned
+        batch.Add(net::Packet{&recs[i], pinned.data(), kLen}, /*pin=*/true);
+        expected[i] = pinned;
+        break;
+    }
+  }
+  EXPECT_GT(batch.arena.capacity(), first_arena_capacity);
+  EXPECT_GT(batch.records.capacity(), first_records_capacity);
+  batch.Seal();
+
+  ASSERT_EQ(batch.size(), kPackets);
+  const uint8_t* arena_begin = batch.arena.data();
+  const uint8_t* arena_end = arena_begin + batch.arena.size();
+  size_t offset = 0;
+  for (size_t i = 0; i < kPackets; ++i) {
+    SCOPED_TRACE("packet " + std::to_string(i));
+    const net::Packet& pkt = batch.packets[i];
+    ASSERT_EQ(pkt.rec, &batch.records[i]);
+    EXPECT_EQ(pkt.rec->ts_us, recs[i].ts_us);
+    ASSERT_EQ(pkt.payload_len, kLen);
+    if (i % 3 == 2) {
+      EXPECT_EQ(pkt.payload, pinned.data());
+    } else {
+      // Arena payloads sit back to back in Add order.
+      EXPECT_EQ(pkt.payload, arena_begin + offset);
+      EXPECT_LE(pkt.payload + kLen, arena_end);
+      offset += kLen;
+    }
+    EXPECT_EQ(std::vector<uint8_t>(pkt.payload, pkt.payload + kLen), expected[i]);
+  }
+  EXPECT_EQ(offset, batch.arena.size());
+  EXPECT_EQ(batch.wire_bytes, uint64_t{kPackets} * (40 + kLen));
+}
+
+// Batcher::Next is Reset + Add + Seal over the bin's records: a Batch
+// reused across bins matches a fresh one assembled by hand for every bin.
+TEST(Batcher, EveryBinEqualsAHandAssembledBatch) {
+  const Trace t = TraceGenerator(SmallSpec()).Generate();
+  Batcher batcher(t, 100'000);
+  Batch batch;
+  size_t cursor = 0;
+  size_t bins = 0;
+  while (batcher.Next(batch)) {
+    SCOPED_TRACE("bin " + std::to_string(bins));
+    Batch ref;
+    ref.Reset(batch.start_us, batch.duration_us);
+    while (cursor < t.packets.size() &&
+           t.packets[cursor].ts_us < batch.start_us + batch.duration_us) {
+      ref.Add(net::Packet::View(t.packets[cursor]));
+      ++cursor;
+    }
+    ref.Seal();
+
+    ASSERT_EQ(batch.size(), ref.size());
+    EXPECT_EQ(batch.wire_bytes, ref.wire_bytes);
+    EXPECT_EQ(batch.arena, ref.arena);
+    for (size_t i = 0; i < batch.size(); ++i) {
+      const net::Packet& got = batch.packets[i];
+      const net::Packet& want = ref.packets[i];
+      ASSERT_EQ(got.rec, &batch.records[i]);
+      EXPECT_EQ(got.rec->ts_us, want.rec->ts_us);
+      EXPECT_EQ(got.rec->tuple, want.rec->tuple);
+      EXPECT_EQ(got.rec->payload_seed, want.rec->payload_seed);
+      ASSERT_EQ(got.payload_len, want.payload_len);
+      if (got.payload_len > 0) {
+        EXPECT_EQ(std::memcmp(got.payload, want.payload, got.payload_len), 0);
+        EXPECT_EQ(got.payload - batch.arena.data(), want.payload - ref.arena.data());
+      }
+    }
+    ++bins;
+  }
+  EXPECT_EQ(cursor, t.packets.size());
+  EXPECT_EQ(bins, batcher.num_bins());
 }
 
 TEST(Batcher, CoversWholeTraceWithoutLoss) {

@@ -22,6 +22,7 @@
 #include <iostream>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/api/config.h"
@@ -83,6 +84,16 @@ class Flags {
   bool Has(const std::string& key) const { return values_.count(key) != 0; }
   const std::vector<std::string>& positional() const { return positional_; }
 
+  // A misspelt flag must not silently run with the default it meant to
+  // override: anything outside `accepted` is a ConfigError (exit 2).
+  void RequireKnown(const std::vector<std::string_view>& accepted) const {
+    for (const auto& [name, value] : values_) {
+      if (std::find(accepted.begin(), accepted.end(), name) == accepted.end()) {
+        throw ConfigError("unknown flag --" + name);
+      }
+    }
+  }
+
  private:
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
@@ -141,17 +152,17 @@ int Usage() {
       "              [--oracle model|measured] [--bin-us N] [--threads N]\n"
       "              [--shards N] [--csv FILE] [--jsonl FILE]\n"
       "              [--config FILE] [--metrics-out FILE]\n"
-      "              [--deadline F] [--ingest-cap N] [--ingest-policy P]\n"
-      "              [--fault-plan SPEC] [--sink-retries N]\n"
+      "              [--deadline F] [--fault-plan SPEC] [--sink-retries N]\n"
       "              [--checkpoint FILE] [--checkpoint-every N] [--restore]\n"
       "              [--serve PORT] [--trace-out FILE]\n"
       "  capture     --listen-udp PORT | --listen-tcp PORT | --follow-pcap FILE\n"
       "              --queries a,b,c --capacity CYCLES [--bin-us N]\n"
       "              [--duration S] [--slots N] [--snap BYTES] [--queue N]\n"
       "              [--overflow block|drop-newest|drop-oldest]\n"
-      "              [--late-slack-us N] (plus run's --threads --shards\n"
-      "              --shedder --strategy --deadline --ingest-cap --csv\n"
-      "              --jsonl --serve --trace-out --metrics-out)\n"
+      "              [--late-slack-us N] [--config FILE] (plus run's\n"
+      "              --threads --shards --shedder --strategy --custom\n"
+      "              --deadline --csv --jsonl --serve --trace-out\n"
+      "              --metrics-out)\n"
       "  replay      FILE --udp PORT | --tcp PORT [--pps N]\n"
       "  queries     (list available queries and their default min rates)\n"
       "\n"
@@ -169,10 +180,16 @@ int Usage() {
       "  --slots/--snap/--queue/--overflow/--late-slack-us\n"
       "                      capture ring geometry: pre-allocated slots, bytes\n"
       "                      captured per frame, ring depth, overflow policy,\n"
-      "                      and how far behind real time a packet may arrive\n"
+      "                      and how far behind real time a packet may arrive.\n"
+      "                      A packet holds its slot until its bin closes, so\n"
+      "                      --slots also bounds the open bin\n"
+      "  --config FILE       as for run; without it capture tracks no accuracy\n"
+      "                      (no unsampled reference instances), with it the\n"
+      "                      file's track_accuracy decides\n"
       "\n"
       "Names are strict: --strategy also takes eq_srates|mmfs_cpu|mmfs_pkt and\n"
-      "--shedder noshed (the config-file spellings); anything else exits 2.\n"
+      "--shedder noshed (the config-file spellings); anything else exits 2, and\n"
+      "so does a flag the command does not take.\n"
       "\n"
       "run flags:\n"
       "  --config FILE       load an INI pipeline config (system knobs, query\n"
@@ -183,8 +200,6 @@ int Usage() {
       "  --deadline F        enforce a wall-clock budget of F x the bin\n"
       "                      duration per bin; overruns climb a degradation\n"
       "                      ladder (boost shedding, truncate, drop bin)\n"
-      "  --ingest-cap N      bound the open bin at N records; --ingest-policy\n"
-      "                      is drop-newest (default) or drop-oldest\n"
       "  --fault-plan SPEC   deterministic fault injection, e.g.\n"
       "                      'seed=7,stall_bin=3:80000,sink_fail_n=2'\n"
       "  --sink-retries N    retry failed CSV/JSONL sink writes up to N times\n"
@@ -334,7 +349,8 @@ void PrintResults(const Pipeline& pipeline) {
       accuracy = util::FmtPercent(acc.mean_error, 2) + " ±" +
                  util::Fmt(acc.stdev_error * 100.0, 2);
     } catch (const std::logic_error&) {
-      // No reference tracked (config file with track_accuracy = false).
+      // No reference tracked (capture without --config, or a config file
+      // with track_accuracy = false).
     }
     table.AddRow({name, util::Fmt(core::DefaultMinRate(name), 2), util::Fmt(rate.mean(), 2),
                   accuracy});
@@ -421,10 +437,6 @@ int CmdRun(const Flags& flags) {
   if (flags.Has("deadline")) {
     builder.Deadline(flags.GetDouble("deadline", 0.9));
   }
-  if (flags.Has("ingest-cap")) {
-    builder.IngestCap(flags.GetU64("ingest-cap", 0),
-                      api::ParseOverflowPolicy(flags.Get("ingest-policy", "drop-newest")));
-  }
   if (flags.Has("fault-plan")) {
     builder.InjectFaults(rt::FaultPlan::Parse(flags.Get("fault-plan")));
   }
@@ -509,14 +521,11 @@ int CmdRun(const Flags& flags) {
   }
 
   PrintResults(*pipeline);
-  if (flags.Has("deadline") || flags.Has("ingest-cap") || flags.Has("checkpoint")) {
+  if (flags.Has("deadline") || flags.Has("checkpoint")) {
     const api::PipelineStats stats = pipeline->Stats();
-    std::printf(
-        "rt: %llu deadline misses, degradation level %d, %llu ingest drops, "
-        "%llu checkpoints\n",
-        static_cast<unsigned long long>(stats.deadline_misses), stats.degradation_level,
-        static_cast<unsigned long long>(stats.ingest_dropped),
-        static_cast<unsigned long long>(stats.checkpoints));
+    std::printf("rt: %llu deadline misses, degradation level %d, %llu checkpoints\n",
+                static_cast<unsigned long long>(stats.deadline_misses), stats.degradation_level,
+                static_cast<unsigned long long>(stats.checkpoints));
   }
   if (flags.Has("csv")) {
     std::printf("per-bin log written to %s\n", flags.Get("csv").c_str());
@@ -573,6 +582,11 @@ int CmdCapture(const Flags& flags) {
   }
 
   PipelineBuilder builder = PipelineBuilder::FromConfig(file_config);
+  if (!have_config) {
+    // A live probe spends no cycles on unsampled reference instances unless
+    // a config file asks for them (track_accuracy).
+    builder.TrackAccuracy(false);
+  }
   if (!have_config || flags.Has("bin-us")) {
     builder.TimeBin(flags.GetU64("bin-us", 100'000));
   }
@@ -609,10 +623,6 @@ int CmdCapture(const Flags& flags) {
   }
   if (flags.Has("deadline")) {
     builder.Deadline(flags.GetDouble("deadline", 0.9));
-  }
-  if (flags.Has("ingest-cap")) {
-    builder.IngestCap(flags.GetU64("ingest-cap", 0),
-                      api::ParseOverflowPolicy(flags.Get("ingest-policy", "drop-newest")));
   }
   if (flags.Has("trace-out")) {
     builder.Tracing();
@@ -755,7 +765,7 @@ int CmdReplay(const Flags& flags) {
   return 0;
 }
 
-int CmdQueries() {
+int CmdQueries(const Flags&) {
   util::Table table({"query", "default min rate (Table 5.2)", "preferred shedding"});
   for (const auto& name : query::AllQueryNames()) {
     const auto q = query::MakeQuery(name);
@@ -770,6 +780,36 @@ int CmdQueries() {
   return 0;
 }
 
+// Every command with the flags it takes.
+struct Command {
+  std::string_view name;
+  int (*run)(const Flags&);
+  std::vector<std::string_view> flags;
+};
+
+const std::vector<Command>& Commands() {
+  static const std::vector<Command> commands = {
+      {"generate", CmdGenerate,
+       {"preset", "duration", "seed", "flows-per-s", "burstiness", "out", "pcap"}},
+      {"info", CmdInfo, {}},
+      {"export-pcap", CmdExportPcap, {"snaplen"}},
+      {"inject-ddos", CmdInjectDdos,
+       {"out", "start", "duration", "pps", "on-off", "target-ip", "seed"}},
+      {"run", CmdRun,
+       {"config", "queries", "k", "strategy", "shedder", "custom", "oracle", "bin-us",
+        "threads", "shards", "csv", "jsonl", "metrics-out", "deadline", "fault-plan",
+        "sink-retries", "checkpoint", "checkpoint-every", "restore", "serve", "trace-out"}},
+      {"capture", CmdCapture,
+       {"listen-udp", "listen-tcp", "follow-pcap", "queries", "capacity", "bin-us", "duration",
+        "slots", "snap", "queue", "overflow", "late-slack-us", "config", "threads", "shards",
+        "shedder", "strategy", "custom", "deadline", "csv", "jsonl", "serve", "trace-out",
+        "metrics-out"}},
+      {"replay", CmdReplay, {"udp", "tcp", "pps"}},
+      {"queries", CmdQueries, {}},
+  };
+  return commands;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -778,38 +818,22 @@ int main(int argc, char** argv) {
   }
   const std::string command = argv[1];
   const Flags flags(argc, argv, 2);
-  try {
-    if (command == "generate") {
-      return CmdGenerate(flags);
+  for (const Command& cmd : Commands()) {
+    if (cmd.name != command) {
+      continue;
     }
-    if (command == "info") {
-      return CmdInfo(flags);
+    try {
+      flags.RequireKnown(cmd.flags);
+      return cmd.run(flags);
+    } catch (const ConfigError& e) {
+      // Bad names, unknown flags and invalid settings exit like a missing
+      // flag does.
+      std::fprintf(stderr, "shedmon %s: %s\n", command.c_str(), e.what());
+      return 2;
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "shedmon %s: %s\n", command.c_str(), e.what());
+      return 1;
     }
-    if (command == "export-pcap") {
-      return CmdExportPcap(flags);
-    }
-    if (command == "inject-ddos") {
-      return CmdInjectDdos(flags);
-    }
-    if (command == "run") {
-      return CmdRun(flags);
-    }
-    if (command == "capture") {
-      return CmdCapture(flags);
-    }
-    if (command == "replay") {
-      return CmdReplay(flags);
-    }
-    if (command == "queries") {
-      return CmdQueries();
-    }
-  } catch (const ConfigError& e) {
-    // Bad names and invalid settings exit like bad flags do.
-    std::fprintf(stderr, "shedmon %s: %s\n", command.c_str(), e.what());
-    return 2;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "shedmon %s: %s\n", command.c_str(), e.what());
-    return 1;
   }
   return Usage();
 }

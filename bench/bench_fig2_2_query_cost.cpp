@@ -24,6 +24,9 @@ int main(int argc, char** argv) {
   std::vector<Row> rows;
   for (const auto& name : query::AllQueryNames()) {
     auto q = query::MakeQuery(name);
+    // Registered for its lifetime: the model oracle keys its per-query work
+    // baseline by address, which the next name's instance may reuse.
+    oracle->OnQueryAdded(q.get());
     trace::Batcher batcher(trace, 100'000);
     trace::Batch batch;
     double total = 0.0;
@@ -39,6 +42,7 @@ int main(int argc, char** argv) {
       }
       ++bins;
     }
+    oracle->OnQueryRemoved(q.get());
     rows.push_back({name, total / (static_cast<double>(bins) * 0.1)});
   }
 

@@ -29,7 +29,11 @@ int main(int argc, char** argv) {
     };
     for (const auto& method : {Method{"packet sampling", 0}, Method{"flow sampling", 1},
                                Method{"custom method", 2}}) {
+      // The model oracle keys its per-query work baseline by address, so
+      // every instance is registered for its lifetime: a later instance
+      // allocated at a dead one's address must not inherit its baseline.
       auto q = query::MakeQuery("p2p-detector");
+      oracle->OnQueryAdded(q.get());
       shed::PacketSampler pkt_sampler(41 + args.seed_offset);
       shed::FlowSampler flow_sampler(42 + args.seed_offset);
 
@@ -40,6 +44,7 @@ int main(int argc, char** argv) {
       size_t in_interval = 0;
       // Estimate the full cost with a shadow instance for the expected line.
       auto shadow = query::MakeQuery("p2p-detector");
+      oracle->OnQueryAdded(shadow.get());
       while (batcher.Next(batch)) {
         {
           query::BatchInput in{batch.packets, batch.start_us, batch.duration_us, 1.0};
@@ -77,6 +82,8 @@ int main(int argc, char** argv) {
       table.AddRow({method.label, util::Fmt(fraction, 2),
                     util::Fmt(used / expected, 2),
                     util::FmtPercent(q->MeanError(*reference[0]), 1)});
+      oracle->OnQueryRemoved(shadow.get());
+      oracle->OnQueryRemoved(q.get());
     }
   }
   table.Print(std::cout);

@@ -437,16 +437,10 @@ std::vector<std::string> ScalingWorkload() {
 // the machine-independent companion to the wall-clock numbers: on a
 // single-core host (like the box that records BENCH_*.json) the wall clock
 // cannot scale, but the model makespan — computed from the same
-// bit-reproducible cycle charges — shows what the sharding buys.
-//
-// `splits` models intra-query data parallelism: query q's per-bin work is
-// divided into splits[q] equal chunks before scheduling (1 = the batch stays
-// whole, the per-query ceiling of the PR 3 model). An empty vector means no
-// intra-query sharding. This mirrors the executor's near-equal unit ranges;
-// per-chunk skew from uneven payloads is ignored, so treat the counter as
-// the schedule bound, not a measurement.
-double ModelMakespanSpeedup(const std::vector<core::BinLog>& log, size_t threads,
-                            const std::vector<size_t>& splits = {}) {
+// bit-reproducible cycle charges — shows what the thread pool buys. Each
+// query's batch is one task, so the costliest query bounds the schedule;
+// treat the counter as that bound, not a measurement.
+double ModelMakespanSpeedup(const std::vector<core::BinLog>& log, size_t threads) {
   if (threads == 0) {
     threads = 1;
   }
@@ -457,13 +451,7 @@ double ModelMakespanSpeedup(const std::vector<core::BinLog>& log, size_t threads
     // the budget), not work this process executes, so it is not part of
     // either schedule.
     const double coordinator = bin.ps_cycles + bin.ls_cycles;
-    std::vector<double> work;
-    for (size_t q = 0; q < bin.per_query_cycles.size(); ++q) {
-      const size_t s = q < splits.size() ? std::max<size_t>(1, splits[q]) : 1;
-      for (size_t c = 0; c < s; ++c) {
-        work.push_back(bin.per_query_cycles[q] / static_cast<double>(s));
-      }
-    }
+    std::vector<double> work(bin.per_query_cycles.begin(), bin.per_query_cycles.end());
     std::sort(work.begin(), work.end(), std::greater<double>());
     std::vector<double> workers(threads, 0.0);
     for (const double w : work) {
@@ -475,7 +463,7 @@ double ModelMakespanSpeedup(const std::vector<core::BinLog>& log, size_t threads
   return parallel_total > 0.0 ? serial_total / parallel_total : 1.0;
 }
 
-// Whole-pipeline thread-scaling benchmark: per-query stages sharded over
+// Whole-pipeline thread-scaling benchmark: per-query stages fanned out over
 // SystemConfig::num_threads workers (threads:0 = the serial path). Outputs
 // are bit-identical at every thread count, so the throughput ratio is pure
 // execution speed. items_per_second is wall-clock (needs >= `threads` cores
@@ -517,59 +505,6 @@ BENCHMARK(BM_PipelinePacketsThreads)
     ->Arg(8)
     // Wall-clock rates: with workers doing the processing, the main thread's
     // CPU time would overstate throughput.
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-// Intra-query sharding on top of the thread pool: the same fourteen-query
-// workload, whose 4-thread makespan is bounded at ~3.6x by its costliest
-// query (the byte-heavy pattern-search) when batches stay whole. Splitting a
-// query's batch into up to `shards` mergeable ranges lifts that per-query
-// ceiling: the model_speedup counter at threads:4 must rise past the 3.6x
-// bound as shards grow. Outputs stay bit-identical to the serial run at
-// every (threads, shards) combination — the property exec_test sweeps.
-void BM_PipelinePacketsShards(benchmark::State& state) {
-  const trace::Trace& trace = SharedTrace();
-  const size_t threads = static_cast<size_t>(state.range(0));
-  const size_t shards = static_cast<size_t>(state.range(1));
-  // The model splits mirror the executor's plan: shardable queries divide
-  // into at most `shards` chunks, bounded by the execution contexts
-  // (workers + participating coordinator); trace is the one query in this
-  // workload with order-sensitive state and stays whole.
-  std::vector<size_t> splits;
-  for (const auto& name : ScalingWorkload()) {
-    const bool shardable = query::MakeQuery(name)->shardable() != nullptr;
-    splits.push_back(shardable ? std::max<size_t>(1, std::min(shards, threads + 1)) : 1);
-  }
-  double model_speedup = 1.0;
-  for (auto _ : state) {
-    core::SystemConfig cfg;
-    cfg.cycles_per_bin = 1e15;
-    cfg.num_threads = threads;
-    cfg.max_shards_per_query = shards;
-    core::MonitoringSystem system(cfg, core::MakeOracle(core::OracleKind::kModel));
-    for (const auto& name : ScalingWorkload()) {
-      system.AddQuery(query::MakeQuery(name));
-    }
-    trace::Batcher batcher(trace, cfg.time_bin_us);
-    trace::Batch batch;
-    while (batcher.Next(batch)) {
-      system.ProcessBatch(batch);
-    }
-    system.Finish();
-    benchmark::DoNotOptimize(system.total_packets());
-    model_speedup = ModelMakespanSpeedup(system.log(), threads, splits);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(trace.packets.size()));
-  state.counters["model_speedup"] = model_speedup;
-}
-BENCHMARK(BM_PipelinePacketsShards)
-    ->ArgNames({"threads", "shards"})
-    ->Args({4, 1})
-    ->Args({4, 2})
-    ->Args({4, 4})
-    ->Args({4, 8})
-    ->Args({8, 8})
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

@@ -46,7 +46,7 @@ int main() {
       core::MeasureMeanDemand({"counter", "flows"}, traffic, core::OracleKind::kModel);
 
   // 3. The pipeline: fluent configuration, then stable handles per query.
-  //    Threads(2) shards per-query work (and the reference instances) over
+  //    Threads(2) runs per-query work (and the reference instances) on
   //    two workers; results are bit-identical to the serial run.
   auto pipeline = PipelineBuilder()
                       .Shedder(core::ShedderKind::kPredictive)

@@ -184,8 +184,6 @@ FileConfig ParseConfig(std::istream& in, std::string_view origin) {
         sys.strategy = ParseAt(origin, line_no, ParseStrategy, value);
       } else if (key == "threads") {
         sys.num_threads = static_cast<size_t>(ParseU64(origin, line_no, key, value));
-      } else if (key == "shards") {
-        sys.max_shards_per_query = static_cast<size_t>(ParseU64(origin, line_no, key, value));
       } else if (key == "seed") {
         sys.seed = ParseU64(origin, line_no, key, value);
       } else if (key == "buffer_bins") {

@@ -52,7 +52,6 @@ struct FileConfig {
 //   shedder = predictive        ; predictive | reactive | noshed (none)
 //   strategy = mmfs_cpu         ; eq_srates (eq) | mmfs_cpu (cpu) | mmfs_pkt (pkt)
 //   threads = 4
-//   shards = 8
 //   seed = 42
 //   buffer_bins = 5
 //   ewma_alpha = 0.9

@@ -124,11 +124,6 @@ PipelineBuilder& PipelineBuilder::Threads(size_t num_threads) {
   return *this;
 }
 
-PipelineBuilder& PipelineBuilder::MaxShardsPerQuery(size_t n) {
-  config_.max_shards_per_query = n;
-  return *this;
-}
-
 PipelineBuilder& PipelineBuilder::Seed(uint64_t seed) {
   config_.seed = seed;
   return *this;
@@ -288,13 +283,6 @@ void PipelineBuilder::Validate() const {
   }
   if (config_.system_interval_bins == 0) {
     throw ConfigError("system_interval_bins must be positive");
-  }
-  if (config_.max_shards_per_query == 0) {
-    throw ConfigError("max_shards_per_query must be >= 1 (1 = no intra-query sharding)");
-  }
-  if (config_.max_shards_per_query > 1 && config_.num_threads == 0) {
-    throw ConfigError(
-        "max_shards_per_query > 1 requires num_threads > 0: shards fan out over the worker pool");
   }
   for (const PendingQuery& pending : queries_) {
     // MakeQuery is the authority on the standard roster; a cheap construction

@@ -149,10 +149,6 @@ class PipelineBuilder {
   PipelineBuilder& BufferBins(double bins);
   PipelineBuilder& CustomShedding(bool enable = true);
   PipelineBuilder& Threads(size_t num_threads);
-  // Upper bound on intra-query data parallelism: split one query's bin batch
-  // into up to `n` shards across the worker pool (no-op without Threads).
-  // Results stay bit-identical at any value; see SystemConfig.
-  PipelineBuilder& MaxShardsPerQuery(size_t n);
   PipelineBuilder& Seed(uint64_t seed);
   PipelineBuilder& Oracle(core::OracleKind kind);
   // Run pipeline-managed reference instances over the unsampled stream so
@@ -180,8 +176,7 @@ class PipelineBuilder {
 
   // ---- Tracing & HTTP endpoint (src/obs) ----------------------------------
   // Per-stage span tracing (extraction, prediction, shedding decision,
-  // per-query and per-shard execution, merges, references, sinks, rt ladder
-  // transitions). One-way like the metrics: BinLogs are bit-identical with
+  // per-query execution, references, sinks, rt ladder transitions). One-way like the metrics: BinLogs are bit-identical with
   // tracing on or off. Export with Pipeline::DumpTrace (Chrome trace-event
   // JSON, loadable in Perfetto) or scrape GET /trace.
   PipelineBuilder& Tracing(bool enable = true);

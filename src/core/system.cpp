@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "src/obs/trace.h"
-#include "src/util/cycle_clock.h"
 
 namespace shedmon::core {
 
@@ -91,7 +90,7 @@ void MonitoringSystem::InitInstruments() {
     pool_->SetMetrics(hooks);
     executor_.SetMetrics(
         &reg.GetHistogram("shedmon_exec_wave_seconds", {1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0}, {},
-                          "Per-bin shard-wave fan-out wall time in seconds"));
+                          "Per-bin query-wave fan-out wall time in seconds"));
   }
 }
 
@@ -210,7 +209,6 @@ void MonitoringSystem::ProcessBatch(const trace::Batch& batch) {
     injector_->OnBinStart(log_.size());
   }
   executor_.SetBinIndex(log_.size());
-  executor_.SetTraceStage(obs::Stage::kQuery);  // wave-1 default; shard waves override
 
   BinLog log;
   log.start_us = batch.start_us;
@@ -319,13 +317,14 @@ uint64_t MonitoringSystem::PlanCustomOracleCalls(double rate) {
   return std::clamp(rate, 0.0, 1.0) >= kNearFullRate ? 3 : 1;
 }
 
-void MonitoringSystem::ExecuteQueryPre(QueryRuntime& qr, const trace::Batch& batch, double rate,
-                                       const SharedExtraction* shared, uint64_t base_seq,
-                                       QueryExec& ex, QueryTaskResult& result) {
+MonitoringSystem::QueryTaskResult MonitoringSystem::ExecuteQuery(QueryRuntime& qr,
+                                                                 const trace::Batch& batch,
+                                                                 double rate,
+                                                                 const SharedExtraction* shared,
+                                                                 uint64_t base_seq) {
+  QueryTaskResult result;
   rate = std::clamp(rate, 0.0, 1.0);
-  ex.rate = rate;
-  ex.update_history = shared != nullptr;
-  ex.packets = &batch.packets;
+  const trace::PacketVec* packets = &batch.packets;
   const bool sampled = rate < 1.0 - kEps;
   if (sampled) {
     const bool flow = qr.query->preferred_sampling() == query::SamplingMethod::kFlow;
@@ -344,7 +343,7 @@ void MonitoringSystem::ExecuteQueryPre(QueryRuntime& qr, const trace::Batch& bat
                        }
                        shed::Gather(batch.packets, qr.positions, qr.sample_buf);
                      }));
-    ex.packets = &qr.sample_buf;
+    packets = &qr.sample_buf;
   }
 
   // Re-extract features on the batch the query actually processes so the
@@ -352,76 +351,35 @@ void MonitoringSystem::ExecuteQueryPre(QueryRuntime& qr, const trace::Batch& bat
   // shared index's cached hashes over the kept positions; charged to the
   // load shedding subsystem. At full rate the shared extraction is reused
   // (§3.4.4 sharing). Reactive mode keeps no history and skips this entirely.
+  features::FeatureVector features{};
   if (shared != nullptr) {
     if (!sampled) {
-      ex.features = shared->features;
+      features = shared->features;
     } else {
-      WorkHint extract_hint{qr.query.get(), ex.packets, 0.0};
+      WorkHint extract_hint{qr.query.get(), packets, 0.0};
       result.AddCharge(/*ls=*/true,
                        oracle_->RunAt(base_seq++, WorkKind::kFeatureExtraction, extract_hint, [&] {
-                         ex.features = qr.engine.extractor().Extract(*shared->index,
-                                                                     qr.positions);
+                         features = qr.engine.extractor().Extract(*shared->index, qr.positions);
                        }));
     }
   }
-  ex.next_seq = base_seq;
 
-  // Intra-query shard plan over the sampled view. The plan only shapes the
-  // fan-out: any shard count (including 1) produces bit-identical results
-  // and charges, so the decision is free to depend on the pool width.
-  ex.ranges.clear();
-  ex.states.clear();
-  ex.shard_cycles.clear();
-  query::ShardableQuery* shardable = qr.query->shardable();
-  if (shardable != nullptr && config_.max_shards_per_query > 1) {
-    query::BatchInput in{*ex.packets, batch.start_us, batch.duration_us, rate};
-    const size_t units = shardable->ShardUnits(in);
-    const size_t shards = executor_.PlanShards(units, config_.max_shards_per_query,
-                                               shardable->MinShardUnits());
-    if (shards > 1) {
-      ex.ranges = exec::QueryExecutor::SplitUnits(units, shards);
-      ex.states.reserve(ex.ranges.size());
-      for (size_t s = 0; s < ex.ranges.size(); ++s) {
-        ex.states.push_back(shardable->ForkShard());
-      }
-      ex.shard_cycles.assign(ex.ranges.size(), 0.0);
-    }
-  }
-}
+  query::BatchInput in{*packets, batch.start_us, batch.duration_us, rate};
+  WorkHint query_hint{qr.query.get(), packets, 0.0};
+  const double used = oracle_->RunAt(base_seq++, WorkKind::kQuery, query_hint,
+                                     [&] { qr.query->ProcessBatch(in); });
 
-void MonitoringSystem::ExecuteQueryPost(QueryRuntime& qr, const trace::Batch& batch,
-                                        QueryExec& ex, QueryTaskResult& result) {
-  query::BatchInput in{*ex.packets, batch.start_us, batch.duration_us, ex.rate};
-  WorkHint query_hint{qr.query.get(), ex.packets, 0.0};
-  double used = 0.0;
-  if (ex.sharded()) {
-    // Ordered shard merge inside the single reserved kQuery slot: the model
-    // charge is the query's work-unit delta, which the mergeable-state
-    // discipline makes equal to the serial delta — same slot, same noise,
-    // same charge. The worker-timed shard cycles travel in the hint so a
-    // wall-measuring oracle charges the scans too, not just this merge.
-    for (const double cycles : ex.shard_cycles) {
-      query_hint.shard_cycles += cycles;
-    }
-    obs::Span merge_span(tracer_, obs::Stage::kMerge, static_cast<uint32_t>(log_.size()));
-    used = oracle_->RunAt(ex.next_seq++, WorkKind::kQuery, query_hint,
-                          [&] { qr.query->ProcessShards(in, std::move(ex.states)); });
-  } else {
-    used = oracle_->RunAt(ex.next_seq++, WorkKind::kQuery, query_hint,
-                          [&] { qr.query->ProcessBatch(in); });
-  }
-
-  if (ex.update_history) {
+  if (shared != nullptr) {
     WorkHint fit_hint{qr.query.get(), nullptr,
                       static_cast<double>(config_.predictor.history)};
     result.AddCharge(/*ls=*/false,
-                     oracle_->RunAt(ex.next_seq++, WorkKind::kFcbfMlr, fit_hint, [&] {
-                       qr.engine.ObserveActual(ex.features, used);
+                     oracle_->RunAt(base_seq++, WorkKind::kFcbfMlr, fit_hint, [&] {
+                       qr.engine.ObserveActual(features, used);
                      }));
   }
 
   result.unsampled =
-      (static_cast<double>(batch.size()) - static_cast<double>(ex.packets->size())) /
+      (static_cast<double>(batch.size()) - static_cast<double>(packets->size())) /
       std::max<double>(1.0, static_cast<double>(queries_.size()));
   // Drop the sampled view before the batch (and its payload arena) can be
   // recycled; the buffers keep their capacity for the next bin.
@@ -429,55 +387,7 @@ void MonitoringSystem::ExecuteQueryPost(QueryRuntime& qr, const trace::Batch& ba
   qr.positions.clear();
   qr.last_cycles = used;
   result.used = used;
-}
-
-void MonitoringSystem::RunShardWaves(const trace::Batch& batch, std::vector<QueryExec>& ex,
-                                     std::vector<QueryTaskResult>& results) {
-  struct ShardTask {
-    size_t query;
-    size_t shard;
-  };
-  std::vector<ShardTask> tasks;
-  std::vector<size_t> sharded;  // queries with a pending post phase
-  for (size_t q = 0; q < ex.size(); ++q) {
-    if (!ex[q].sharded()) {
-      continue;
-    }
-    sharded.push_back(q);
-    for (size_t s = 0; s < ex[q].states.size(); ++s) {
-      tasks.push_back({q, s});
-    }
-  }
-  if (tasks.empty()) {
-    return;
-  }
-  // Wave 2: every (query, shard) range on any worker in any order — shards
-  // only touch their own partial plus the query's stable pre-batch state.
-  // Each task is TSC-timed so wall-measuring oracles can charge this work
-  // at the query's merge (the model oracle ignores the timings).
-  executor_.SetTraceStage(obs::Stage::kShard);
-  executor_.Run(
-      tasks.size(),
-      [&](size_t t) {
-        const ShardTask& task = tasks[t];
-        QueryRuntime& qr = *queries_[task.query];
-        QueryExec& e = ex[task.query];
-        query::BatchInput in{*e.packets, batch.start_us, batch.duration_us, e.rate};
-        const util::CycleTimer timer;
-        qr.query->shardable()->OnShardBatch(*e.states[task.shard], in,
-                                            e.ranges[task.shard].begin,
-                                            e.ranges[task.shard].end);
-        e.shard_cycles[task.shard] = static_cast<double>(timer.Elapsed());
-      });
-  // Wave 3: fold the partials (per query, in shard-index order) and finish
-  // the per-query pipeline; only the sharded queries have work left.
-  executor_.SetTraceStage(obs::Stage::kQuery);
-  executor_.Run(
-      sharded.size(),
-      [&](size_t i) {
-        const size_t q = sharded[i];
-        ExecuteQueryPost(*queries_[q], batch, ex[q], results[q]);
-      });
+  return result;
 }
 
 MonitoringSystem::QueryTaskResult MonitoringSystem::ExecuteCustom(QueryRuntime& qr,
@@ -651,12 +561,8 @@ void MonitoringSystem::RunPredictive(const trace::Batch& batch, BinLog& log) {
                        : PlanOracleCalls(alloc.rate[q], /*update_history=*/true));
   }
 
-  // Wave 1: the whole per-query pipeline for unsharded queries, and the
-  // sampling/extraction pre-phase (plus the shard plan) for queries whose
-  // batch splits further. Waves 2/3 (RunShardWaves) then run the (query,
-  // shard) ranges and the ordered per-query merges; the BinLog fold below
-  // replays registration order on the coordinator exactly as before.
-  std::vector<QueryExec> ex(n);
+  // One task per query runs its whole pipeline; the BinLog fold below
+  // replays registration order on the coordinator.
   double used_total = 0.0;
   double expected_total = 0.0;
   double measured_ls = 0.0;
@@ -672,13 +578,8 @@ void MonitoringSystem::RunPredictive(const trace::Batch& batch, BinLog& log) {
                                      plan[q].base_seq);
           return;
         }
-        ExecuteQueryPre(qr, batch, alloc.rate[q], &shared, plan[q].base_seq, ex[q],
-                        results[q]);
-        if (!ex[q].sharded()) {
-          ExecuteQueryPost(qr, batch, ex[q], results[q]);
-        }
+        results[q] = ExecuteQuery(qr, batch, alloc.rate[q], &shared, plan[q].base_seq);
       });
-  RunShardWaves(batch, ex, results);
   for (size_t q = 0; q < n; ++q) {
     if (!plan[q].execute) {
       log.packets_unsampled += static_cast<double>(batch.size()) /
@@ -741,7 +642,6 @@ void MonitoringSystem::RunReactive(const trace::Batch& batch, BinLog& log) {
         oracle_->ReserveSequence(PlanOracleCalls(rates[q], /*update_history=*/false));
   }
   std::vector<QueryTaskResult> results(n);
-  std::vector<QueryExec> ex(n);
   double used_total = 0.0;
   executor_.Run(
       n,
@@ -749,13 +649,9 @@ void MonitoringSystem::RunReactive(const trace::Batch& batch, BinLog& log) {
         if (disabled[q]) {
           return;
         }
-        ExecuteQueryPre(*queries_[q], batch, rates[q], /*shared=*/nullptr, base_seq[q],
-                        ex[q], results[q]);
-        if (!ex[q].sharded()) {
-          ExecuteQueryPost(*queries_[q], batch, ex[q], results[q]);
-        }
+        results[q] =
+            ExecuteQuery(*queries_[q], batch, rates[q], /*shared=*/nullptr, base_seq[q]);
       });
-  RunShardWaves(batch, ex, results);
   for (size_t q = 0; q < n; ++q) {
     if (disabled[q]) {
       // A truncated query sheds its whole batch, counted as RunPredictive
@@ -787,18 +683,13 @@ void MonitoringSystem::RunNoShed(const trace::Batch& batch, BinLog& log) {
     base_seq[q] = oracle_->ReserveSequence(1);
   }
   std::vector<QueryTaskResult> results(n);
-  std::vector<QueryExec> ex(n);
   double used_total = 0.0;
   executor_.Run(
       n,
       [&](size_t q) {
-        ExecuteQueryPre(*queries_[q], batch, /*rate=*/1.0, /*shared=*/nullptr, base_seq[q],
-                        ex[q], results[q]);
-        if (!ex[q].sharded()) {
-          ExecuteQueryPost(*queries_[q], batch, ex[q], results[q]);
-        }
+        results[q] =
+            ExecuteQuery(*queries_[q], batch, /*rate=*/1.0, /*shared=*/nullptr, base_seq[q]);
       });
-  RunShardWaves(batch, ex, results);
   for (size_t q = 0; q < n; ++q) {
     log.per_query_cycles[q] = results[q].used;
     used_total += results[q].used;

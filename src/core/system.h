@@ -89,16 +89,6 @@ struct SystemConfig {
   // over an exec::ThreadPool while cost charges are sequenced and BinLog
   // merges folded on the coordinator in registration order.
   size_t num_threads = 0;
-  // Upper bound on intra-query data parallelism: how many shards one query's
-  // bin batch may be split into when the query implements
-  // query::ShardableQuery and a pool is available (num_threads > 0). 1, the
-  // default, keeps batches whole. Any value yields BinLogs, query results and
-  // accuracies bit-identical to the serial path: shard partials are exact and
-  // folded in shard-index order, and sharding consumes no extra cost-oracle
-  // slots — the per-query kQuery charge is applied once, at the merge, from
-  // the same reserved sequence slot as the unsharded path, so shedding
-  // decisions cannot depend on the shard count.
-  size_t max_shards_per_query = 1;
 };
 
 // Everything the system recorded about one time bin, the raw material for
@@ -179,8 +169,8 @@ class MonitoringSystem {
   const obs::MetricsRegistry& metrics() const { return *registry_; }
 
   // Optional span tracer: when set, every bin records per-stage spans
-  // (shared extraction, prediction, shedding decision, per-query and
-  // per-shard execution waves, ordered merges). Borrowed pointer; nullptr
+  // (shared extraction, prediction, shedding decision, per-query
+  // execution). Borrowed pointer; nullptr
   // (the default) detaches. Spans are write-only like the metrics, so traced
   // runs stay bit-identical.
   void SetTracer(obs::Tracer* tracer);
@@ -241,9 +231,9 @@ class MonitoringSystem {
     obs::Gauge* m_times_policed = nullptr;
     // Reusable buffers the samplers write into: sampling a batch stops
     // allocating once they have grown to the query's working set. Valid only
-    // within the bin's execute waves — sample_buf's Packets point into the
+    // within the bin's execute wave — sample_buf's Packets point into the
     // current Batch's arena, positions index the current Batch (and its
-    // shared TupleIndex) — so ExecuteQueryPost clears them (capacity kept)
+    // shared TupleIndex) — so ExecuteQuery clears them (capacity kept)
     // and they must never be read between bins.
     std::vector<uint32_t> positions{};
     trace::PacketVec sample_buf{};
@@ -282,7 +272,7 @@ class MonitoringSystem {
   };
 
   // The bin's shared extraction (Alg. 1 line 3), written by the coordinator
-  // before the query waves and read-only during them.
+  // before the query wave and read-only during it.
   struct SharedExtraction {
     features::FeatureVector features{};
     const features::TupleIndex* index = nullptr;
@@ -292,54 +282,22 @@ class MonitoringSystem {
   // the given parameters; the coordinator reserves exactly this many charge
   // slots per query (in registration order) before fanning tasks out, so
   // sequenced charges match the serial call schedule no matter which worker
-  // runs when. Intra-query sharding never changes this count: a sharded
-  // batch is still charged through the single reserved kQuery slot.
+  // runs when.
   static uint64_t PlanOracleCalls(double rate, bool update_history);
   static uint64_t PlanCustomOracleCalls(double rate);
 
-  // Per-query execution context threaded through the fan-out waves of one
-  // bin: the packet view after sampling, the re-extracted features, the next
-  // reserved charge slot, and the intra-query shard plan (partials forked in
-  // the pre phase, filled by (query, shard) tasks, folded by the post phase
-  // in shard-index order).
-  struct QueryExec {
-    double rate = 1.0;
-    bool update_history = false;
-    const trace::PacketVec* packets = nullptr;
-    features::FeatureVector features{};
-    uint64_t next_seq = 0;
-    std::vector<exec::ShardRange> ranges;
-    std::vector<std::unique_ptr<query::ShardState>> states;
-    // TSC cycles each shard task spent in OnShardBatch, summed into the
-    // kQuery WorkHint so wall-measuring oracles charge the scans that ran
-    // on workers, not just the merge (the model oracle ignores it).
-    std::vector<double> shard_cycles;
-    bool sharded() const { return states.size() > 1; }
-  };
-
-  // First half of the per-query pipeline: samples the batch and, on the
-  // predictive path, re-extracts features for the history update, consuming
-  // reserved slots from `base_seq`; then plans the intra-query shard fan-out
-  // over the sampled view. `shared` is the bin's shared extraction on the
-  // predictive path and null on the reactive and no-shed paths, which keep no
-  // history. With it the §3.4.4 computation sharing applies: the shared
-  // features are reused at full rate, and below it flow sampling selects
-  // positions of the shared TupleIndex and the re-extraction folds its cached
-  // hashes. Safe to call concurrently for distinct queries.
-  void ExecuteQueryPre(QueryRuntime& qr, const trace::Batch& batch, double rate,
-                       const SharedExtraction* shared, uint64_t base_seq, QueryExec& ex,
-                       QueryTaskResult& result);
-  // Second half: the query charge itself — ProcessBatch, or the ordered
-  // shard merge when the pre phase split the batch — then the model fit
-  // (Alg. 1 line 12). Must run after every shard task of this query.
-  void ExecuteQueryPost(QueryRuntime& qr, const trace::Batch& batch, QueryExec& ex,
-                        QueryTaskResult& result);
-  // Runs the (query, shard) tasks of every sharded entry in `ex` over the
-  // pool, then the post phase of those queries; no-op when nothing sharded.
-  void RunShardWaves(const trace::Batch& batch, std::vector<QueryExec>& ex,
-                     std::vector<QueryTaskResult>& results);
-  // Custom-shedding execution path (Ch. 6); custom batches are never sharded
-  // (the method owns its own traversal order).
+  // The per-query pipeline: samples the batch and, on the predictive path,
+  // re-extracts features for the history update, runs the query, then fits
+  // the model (Alg. 1 line 12), consuming reserved slots from `base_seq`.
+  // `shared` is the bin's shared extraction on the predictive path and null
+  // on the reactive and no-shed paths, which keep no history. With it the
+  // §3.4.4 computation sharing applies: the shared features are reused at
+  // full rate, and below it flow sampling selects positions of the shared
+  // TupleIndex and the re-extraction folds its cached hashes. Safe to call
+  // concurrently for distinct queries.
+  QueryTaskResult ExecuteQuery(QueryRuntime& qr, const trace::Batch& batch, double rate,
+                               const SharedExtraction* shared, uint64_t base_seq);
+  // Custom-shedding execution path (Ch. 6).
   QueryTaskResult ExecuteCustom(QueryRuntime& qr, const trace::Batch& batch, double rate,
                                 double granted, const SharedExtraction& shared,
                                 uint64_t base_seq);

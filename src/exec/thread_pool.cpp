@@ -83,7 +83,7 @@ void ThreadPool::ParallelFor(size_t begin, size_t end, size_t grain,
     grain = (n + num_threads() - 1) / num_threads();
   }
   // Re-check the grain against the range: it must be at least 1 (a zero
-  // grain after shard splitting would loop forever) and at most n (a grain
+  // grain would loop forever) and at most n (a grain
   // beyond the range collapses to one caller-run chunk, never an empty one).
   grain = std::max<size_t>(1, std::min(grain, n));
 

@@ -33,21 +33,19 @@ enum class Stage : uint8_t {
   kExtraction,       // shared feature extraction (prediction phase 1)
   kPrediction,       // per-query cycle prediction
   kShedDecision,     // resource allocation + sampling-rate selection
-  kQuery,            // one per-query execution task (wave 1)
-  kShard,            // one shard-unit task (waves 2/3)
-  kMerge,            // ordered merge replay on the coordinator
+  kQuery,            // one per-query execution task
   kReference,        // reference (unsampled) instance execution
   kSink,             // one sink write (CSV/JSONL row)
   kCheckpoint,       // crash-safe checkpoint write
   kDegrade,          // rt ladder transition (instant event)
   kCapture,          // capture front-end drain burst (src/capture)
 };
-inline constexpr size_t kStageCount = 12;
+inline constexpr size_t kStageCount = 10;
 
 const char* StageName(Stage stage);
 
-// One completed span. `arg` is a stage-specific index (query slot, shard
-// unit, ladder rung); negative means "no argument".
+// One completed span. `arg` is a stage-specific index (query slot, ladder
+// rung); negative means "no argument".
 struct SpanRecord {
   uint64_t ts_us = 0;   // start, relative to the tracer's epoch
   uint64_t dur_us = 0;  // 0 for instant events

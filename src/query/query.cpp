@@ -1,7 +1,6 @@
 #include "src/query/query.h"
 
 #include <algorithm>
-#include <stdexcept>
 #include <utility>
 
 #include "src/util/stats.h"
@@ -14,19 +13,6 @@ Query::Query(std::string name, size_t interval_bins)
 void Query::ProcessBatch(const BatchInput& in) {
   cur_packets_ += static_cast<double>(in.packets.size());
   OnBatch(in);
-}
-
-void Query::ProcessShards(const BatchInput& in, std::vector<std::unique_ptr<ShardState>> shards) {
-  ShardableQuery* sh = shardable();
-  if (sh == nullptr || shards.empty()) {
-    throw std::logic_error("Query::ProcessShards: query is not shardable or no shards given");
-  }
-  cur_packets_ += static_cast<double>(in.packets.size());
-  std::unique_ptr<ShardState> merged = std::move(shards.front());
-  for (size_t s = 1; s < shards.size(); ++s) {
-    sh->MergeShard(*merged, std::move(*shards[s]));
-  }
-  sh->ApplyShards(in, std::move(*merged));
 }
 
 void Query::ProcessCustom(const BatchInput& in, double fraction) {

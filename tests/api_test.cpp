@@ -715,14 +715,6 @@ TEST(PipelineValidation, RejectsOutOfRangeSystemKnobs) {
   config = {};
   config.system_interval_bins = 0;
   EXPECT_THROW(B().Config(config).Build(), ConfigError);
-  config = {};
-  config.max_shards_per_query = 0;
-  EXPECT_THROW(B().Config(config).Build(), ConfigError);
-}
-
-TEST(PipelineValidation, RejectsShardingWithoutAWorkerPool) {
-  EXPECT_THROW(api::PipelineBuilder().MaxShardsPerQuery(8).Build(), ConfigError);
-  EXPECT_NO_THROW(api::PipelineBuilder().Threads(2).MaxShardsPerQuery(8).Build());
 }
 
 TEST(PipelineValidation, RejectsUnknownRosterEntriesAndBadMinRates) {
@@ -1112,6 +1104,47 @@ TEST(PipelineSnapshot, RejectsTruncatedAndBitFlippedSnapshots) {
   }
 }
 
+// A snapshot written by another format version is refused outright (the
+// layout of what follows the header is not this build's), and a checkpoint
+// in that state must not keep the monitor down: RestoreOrBuild starts fresh.
+TEST(PipelineSnapshot, OtherFormatVersionIsRefusedAndRestoreOrBuildStartsFresh) {
+  auto pipeline = api::PipelineBuilder().AddQuery("counter").AddQuery("flows").BuildUnique();
+  std::stringstream good;
+  pipeline->Snapshot(good);
+  const std::string bytes = good.str();
+  const size_t version_at = obs::kSnapshotMagic.size();  // little-endian u32
+  ASSERT_GT(bytes.size(), version_at + 4);
+
+  const std::string path = ::testing::TempDir() + "shedmon_snapshot_other_version.bin";
+  const api::PipelineBuilder fallback = api::PipelineBuilder().AddQuery("top-k");
+  {
+    std::ofstream(path, std::ios::binary) << bytes;
+    EXPECT_EQ(fallback.RestoreOrBuild(path)->num_queries(), 2u);  // intact: restored
+  }
+  for (const uint32_t version : {obs::kSnapshotVersion - 1, obs::kSnapshotVersion + 1}) {
+    SCOPED_TRACE("version " + std::to_string(version));
+    std::string other = bytes;
+    for (size_t i = 0; i < 4; ++i) {
+      other[version_at + i] = static_cast<char>((version >> (8 * i)) & 0xFF);
+    }
+    std::istringstream in(other);
+    try {
+      api::PipelineBuilder::Restore(in);
+      ADD_FAILURE() << "a snapshot of another version was restored";
+    } catch (const obs::SnapshotError& e) {
+      EXPECT_NE(std::string(e.what()).find("unsupported version"), std::string::npos)
+          << e.what();
+    }
+
+    std::ofstream(path, std::ios::binary) << other;
+    auto fresh = fallback.RestoreOrBuild(path);
+    ASSERT_EQ(fresh->num_queries(), 1u);
+    EXPECT_EQ(fresh->system().query(0).name(), "top-k");
+    EXPECT_TRUE(fresh->log().empty());
+  }
+  std::remove(path.c_str());
+}
+
 // Path-based snapshots publish via write-to-temp + fsync + atomic rename:
 // the final file is complete and restorable, and no temp litter survives.
 TEST(PipelineSnapshot, PathSnapshotIsAtomicAndRestorable) {
@@ -1136,43 +1169,36 @@ TEST(PipelineDeterminism, ScrapingUnderLoadNeverPerturbsResults) {
   const GoldenRun golden = GoldenBatchRun(golden_builder.config(), names, SharedTrace());
 
   for (const size_t threads : {size_t{0}, size_t{2}, size_t{4}}) {
-    for (const size_t shards : {size_t{1}, size_t{8}}) {
-      if (threads == 0 && shards > 1) {
-        continue;  // rejected by eager validation; covered in exec_test
-      }
-      SCOPED_TRACE("threads " + std::to_string(threads) + " shards " +
-                   std::to_string(shards));
-      api::PipelineBuilder builder = BuilderFor(names, core::ShedderKind::kPredictive,
-                                                shed::StrategyKind::kMmfsPkt, false, threads);
-      auto pipeline = builder.MaxShardsPerQuery(shards).BuildUnique();
-      std::vector<api::QueryHandle> handles;
-      for (const auto& name : names) {
-        handles.push_back(pipeline->AddQuery(name));
-      }
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    api::PipelineBuilder builder = BuilderFor(names, core::ShedderKind::kPredictive,
+                                              shed::StrategyKind::kMmfsPkt, false, threads);
+    auto pipeline = builder.BuildUnique();
+    std::vector<api::QueryHandle> handles;
+    for (const auto& name : names) {
+      handles.push_back(pipeline->AddQuery(name));
+    }
 
-      std::atomic<bool> stop{false};
-      std::atomic<size_t> scrapes{0};
-      std::thread scraper([&] {
-        while (!stop.load(std::memory_order_relaxed)) {
-          const std::string text =
-              obs::PrometheusEncoder::Encode(pipeline->Metrics().Snapshot());
-          if (!text.empty()) {
-            scrapes.fetch_add(1, std::memory_order_relaxed);
-          }
+    std::atomic<bool> stop{false};
+    std::atomic<size_t> scrapes{0};
+    std::thread scraper([&] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        const std::string text = obs::PrometheusEncoder::Encode(pipeline->Metrics().Snapshot());
+        if (!text.empty()) {
+          scrapes.fetch_add(1, std::memory_order_relaxed);
         }
-      });
-      pipeline->Push(SharedTrace());
-      pipeline->Finish();
-      stop.store(true);
-      scraper.join();
-
-      EXPECT_GT(scrapes.load(), 0u);
-      ExpectBinLogsIdentical(golden.system->log(), pipeline->log());
-      for (size_t q = 0; q < names.size(); ++q) {
-        SCOPED_TRACE(names[q]);
-        EXPECT_EQ(golden.Accuracy(q).mean_error, handles[q].Accuracy().mean_error);
-        EXPECT_EQ(golden.Accuracy(q).stdev_error, handles[q].Accuracy().stdev_error);
       }
+    });
+    pipeline->Push(SharedTrace());
+    pipeline->Finish();
+    stop.store(true);
+    scraper.join();
+
+    EXPECT_GT(scrapes.load(), 0u);
+    ExpectBinLogsIdentical(golden.system->log(), pipeline->log());
+    for (size_t q = 0; q < names.size(); ++q) {
+      SCOPED_TRACE(names[q]);
+      EXPECT_EQ(golden.Accuracy(q).mean_error, handles[q].Accuracy().mean_error);
+      EXPECT_EQ(golden.Accuracy(q).stdev_error, handles[q].Accuracy().stdev_error);
     }
   }
 }

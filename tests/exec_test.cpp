@@ -7,10 +7,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -22,8 +20,6 @@
 #include "src/core/runner.h"
 #include "src/exec/query_executor.h"
 #include "src/exec/thread_pool.h"
-#include "src/query/queries.h"
-#include "src/trace/batch.h"
 #include "src/trace/generator.h"
 #include "src/trace/spec.h"
 
@@ -98,8 +94,8 @@ TEST(ThreadPoolTest, ParallelForZeroAndSingleIteration) {
 
 TEST(ThreadPoolTest, ParallelForGrainBeyondRangeNeverMakesEmptyChunks) {
   // Regression: the caller-participation path re-checks the grain against
-  // the range, so a 1-item range with a huge grain (a 1-packet batch after
-  // shard splitting) runs exactly one non-empty caller chunk.
+  // the range, so a 1-item range with a huge grain runs exactly one
+  // non-empty caller chunk.
   exec::ThreadPool pool(4);
   for (const size_t grain : {size_t{1}, size_t{2}, size_t{1000}}) {
     int calls = 0;
@@ -169,70 +165,6 @@ TEST(QueryExecutorTest, ZeroTasksIsANoOp) {
 }
 
 // ---------------------------------------------------------------------------
-// Shard planning and unit splitting
-// ---------------------------------------------------------------------------
-
-void ExpectCoversOnce(const std::vector<exec::ShardRange>& ranges, size_t units) {
-  size_t pos = 0;
-  for (const auto& r : ranges) {
-    EXPECT_EQ(r.begin, pos);
-    EXPECT_LE(r.begin, r.end);
-    pos = r.end;
-  }
-  EXPECT_EQ(pos, units);
-}
-
-TEST(ShardSplitTest, SplitUnitsNeverProducesEmptyRanges) {
-  // Regression for the 1-packet-batch guard: more shards than units clamps
-  // to one unit per shard instead of emitting zero-width ranges.
-  const auto one = exec::QueryExecutor::SplitUnits(1, 8);
-  ASSERT_EQ(one.size(), 1u);
-  EXPECT_EQ(one[0].begin, 0u);
-  EXPECT_EQ(one[0].end, 1u);
-
-  const auto three = exec::QueryExecutor::SplitUnits(3, 8);
-  ASSERT_EQ(three.size(), 3u);
-  ExpectCoversOnce(three, 3);
-  for (const auto& r : three) {
-    EXPECT_EQ(r.end - r.begin, 1u);
-  }
-}
-
-TEST(ShardSplitTest, SplitUnitsZeroUnitsDegradesToOneEmptySpan) {
-  const auto ranges = exec::QueryExecutor::SplitUnits(0, 4);
-  ASSERT_EQ(ranges.size(), 1u);
-  EXPECT_EQ(ranges[0].begin, 0u);
-  EXPECT_EQ(ranges[0].end, 0u);
-}
-
-TEST(ShardSplitTest, SplitUnitsSpreadsRemainderOverLeadingRanges) {
-  const auto ranges = exec::QueryExecutor::SplitUnits(10, 4);
-  ASSERT_EQ(ranges.size(), 4u);
-  ExpectCoversOnce(ranges, 10);
-  EXPECT_EQ(ranges[0].end - ranges[0].begin, 3u);
-  EXPECT_EQ(ranges[1].end - ranges[1].begin, 3u);
-  EXPECT_EQ(ranges[2].end - ranges[2].begin, 2u);
-  EXPECT_EQ(ranges[3].end - ranges[3].begin, 2u);
-}
-
-TEST(ShardSplitTest, PlanShardsRespectsPoolGrainAndBudget) {
-  exec::ThreadPool pool(3);
-  exec::QueryExecutor executor(&pool);
-  // Capped by the max-shards budget.
-  EXPECT_EQ(executor.PlanShards(10'000, 2, 256), 2u);
-  // Capped by execution contexts (3 workers + the participating caller).
-  EXPECT_EQ(executor.PlanShards(10'000, 16, 256), 4u);
-  // Capped by the minimum grain; tiny batches stay whole.
-  EXPECT_EQ(executor.PlanShards(600, 16, 256), 2u);
-  EXPECT_EQ(executor.PlanShards(255, 16, 256), 1u);
-  EXPECT_EQ(executor.PlanShards(1, 16, 256), 1u);
-  EXPECT_EQ(executor.PlanShards(0, 16, 256), 1u);
-  // max_shards <= 1 and inline executors never shard.
-  EXPECT_EQ(executor.PlanShards(10'000, 1, 256), 1u);
-  EXPECT_EQ(exec::QueryExecutor(nullptr).PlanShards(10'000, 16, 256), 1u);
-}
-
-// ---------------------------------------------------------------------------
 // Parallel == serial, bit for bit
 // ---------------------------------------------------------------------------
 
@@ -251,9 +183,8 @@ const trace::Trace& EquivalenceTrace() {
 
 std::vector<std::string> EquivalenceQueries() {
   // Mixed packet/flow sampling, custom-shedding support (high-watermark,
-  // top-k), byte-heavy work with sub-packet shard seams (pattern-search),
-  // and a deliberately non-shardable query (trace: order-sensitive rolling
-  // storage) so sharded bins mix split and whole batches.
+  // top-k), byte-heavy work (pattern-search) and order-sensitive state
+  // (trace: rolling storage).
   return {"counter", "flows", "high-watermark", "top-k", "pattern-search", "trace"};
 }
 
@@ -311,8 +242,8 @@ api::PipelineBuilder EquivalenceBuilder(const EquivalenceCase& c) {
   return builder;
 }
 
-// One serial (threads 0, shards 1) golden run per case, shared across the
-// (threads x shards) grid so the sweep stays fast.
+// One serial (threads 0) golden run per case, shared across the thread-count
+// grid so the sweep stays fast.
 const api::Pipeline& SerialBaseline(const EquivalenceCase& c) {
   static std::map<std::string, std::unique_ptr<api::Pipeline>>& cache =
       *new std::map<std::string, std::unique_ptr<api::Pipeline>>();
@@ -326,18 +257,12 @@ const api::Pipeline& SerialBaseline(const EquivalenceCase& c) {
 }
 
 class ParallelEquivalence
-    : public ::testing::TestWithParam<std::tuple<EquivalenceCase, size_t, size_t>> {};
+    : public ::testing::TestWithParam<std::tuple<EquivalenceCase, size_t>> {};
 
 TEST_P(ParallelEquivalence, BinLogsAndAccuraciesBitIdenticalToSerial) {
-  const auto& [c, threads, shards] = GetParam();
+  const auto& [c, threads] = GetParam();
   api::PipelineBuilder builder = EquivalenceBuilder(c);
-  builder.Threads(threads).MaxShardsPerQuery(shards);
-  if (threads == 0 && shards > 1) {
-    // Shards without a worker pool used to be silently inert; the eager
-    // builder validation now rejects the combination outright.
-    EXPECT_THROW(api::RunTrace(builder, EquivalenceTrace()), shedmon::ConfigError);
-    return;
-  }
+  builder.Threads(threads);
   const auto& serial = SerialBaseline(c);
   const auto parallel = api::RunTrace(builder, EquivalenceTrace());
 
@@ -355,11 +280,12 @@ TEST_P(ParallelEquivalence, BinLogsAndAccuraciesBitIdenticalToSerial) {
   }
 }
 
-// threads 0 (inline) x shards > 1 proves the builder rejects sharding
-// without a pool; threads > 0 x shards {2, 8} exercises real (query, shard)
-// fan-out, including shard counts past the pool width.
+// threads 0 re-runs the inline path against its own golden; threads
+// {1, 2, 3, 4, 8} fan the per-query tasks out over a real pool: a single
+// worker, counts that do and do not divide the six queries evenly, and more
+// workers than queries.
 INSTANTIATE_TEST_SUITE_P(
-    ShedderByThreadsAndShards, ParallelEquivalence,
+    ShedderByThreads, ParallelEquivalence,
     ::testing::Combine(
         ::testing::Values(
             EquivalenceCase{"predictive_eq", core::ShedderKind::kPredictive,
@@ -371,27 +297,28 @@ INSTANTIATE_TEST_SUITE_P(
             EquivalenceCase{"reactive", core::ShedderKind::kReactive,
                             shed::StrategyKind::kEqSrates, 0.5, false},
             EquivalenceCase{"no_shed", core::ShedderKind::kNoShed,
-                            shed::StrategyKind::kEqSrates, 0.5, false}),
-        ::testing::Values(0, 2, 4), ::testing::Values(1, 2, 8)),
+                            shed::StrategyKind::kEqSrates, 0.5, false},
+            EquivalenceCase{"predictive_mmfs_cpu", core::ShedderKind::kPredictive,
+                            shed::StrategyKind::kMmfsCpu, 0.5, false},
+            EquivalenceCase{"predictive_eq_k09", core::ShedderKind::kPredictive,
+                            shed::StrategyKind::kEqSrates, 0.9, false}),
+        ::testing::Values(0, 1, 2, 3, 4, 8)),
     [](const auto& info) {
-      return std::get<0>(info.param).label + "_t" + std::to_string(std::get<1>(info.param)) +
-             "_s" + std::to_string(std::get<2>(info.param));
+      return std::get<0>(info.param).label + "_t" + std::to_string(std::get<1>(info.param));
     });
 
 // ---------------------------------------------------------------------------
-// Sharded determinism (ROADMAP gap: oracle behavior under threads + shards)
+// Threaded determinism (oracle behavior under a worker pool)
 // ---------------------------------------------------------------------------
 
 // Runs the public Pipeline facade over the equivalence trace with worker
-// threads and intra-query sharding; returns the run's BinLogs plus per-query
-// accuracies.
-std::unique_ptr<api::Pipeline> RunShardedPipeline(core::OracleKind oracle, size_t threads,
-                                                  size_t shards, double capacity) {
+// threads; returns the run's BinLogs plus per-query accuracies.
+std::unique_ptr<api::Pipeline> RunThreadedPipeline(core::OracleKind oracle, size_t threads,
+                                                   double capacity) {
   auto pipeline = PipelineBuilder()
                       .Oracle(oracle)
                       .CyclesPerBin(capacity)
                       .Threads(threads)
-                      .MaxShardsPerQuery(shards)
                       .BuildUnique();
   for (const auto& name : EquivalenceQueries()) {
     pipeline->AddQuery(name);
@@ -401,14 +328,14 @@ std::unique_ptr<api::Pipeline> RunShardedPipeline(core::OracleKind oracle, size_
   return pipeline;
 }
 
-TEST(ShardedDeterminism, ModelOracleSheddingDecisionsIdenticalAcrossRuns) {
-  // Two independent pipelines, each with 4 workers and real shard fan-out:
-  // every shedding decision (rates, disabled flags, overload bits) and every
-  // charge must be bit-identical between the runs — the model oracle's
-  // determinism survives the extra (query, shard) scheduling freedom.
+TEST(ThreadedDeterminism, ModelOracleSheddingDecisionsIdenticalAcrossRuns) {
+  // Two independent pipelines, each with 4 workers: every shedding decision
+  // (rates, disabled flags, overload bits) and every charge must be
+  // bit-identical between the runs — the model oracle's determinism
+  // survives the pool's scheduling freedom.
   const double capacity = std::max(1.0, EquivalenceDemand() * 0.5);
-  const auto a = RunShardedPipeline(core::OracleKind::kModel, 4, 4, capacity);
-  const auto b = RunShardedPipeline(core::OracleKind::kModel, 4, 4, capacity);
+  const auto a = RunThreadedPipeline(core::OracleKind::kModel, 4, capacity);
+  const auto b = RunThreadedPipeline(core::OracleKind::kModel, 4, capacity);
   ExpectBinLogsIdentical(a->log(), b->log());
   ASSERT_EQ(a->num_queries(), b->num_queries());
   for (size_t q = 0; q < a->num_queries(); ++q) {
@@ -416,71 +343,13 @@ TEST(ShardedDeterminism, ModelOracleSheddingDecisionsIdenticalAcrossRuns) {
   }
 }
 
-// Records what the kQuery charges actually see, so the shard-cycles plumbing
-// (worker-timed OnShardBatch -> WorkHint::shard_cycles -> wall-measuring
-// oracle) is pinned deterministically instead of via flaky TSC assertions.
-class ShardCyclesProbeOracle : public core::CostOracle {
- public:
-  double Run(core::WorkKind kind, const core::WorkHint& hint,
-             const std::function<void()>& fn) override {
-    fn();
-    if (kind == core::WorkKind::kQuery) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      query_shard_cycles_.push_back(hint.shard_cycles);
-    }
-    // A wall-measuring oracle must fold the pre-spent shard cycles into the
-    // charge; mimic that so the BinLog exposes whether they arrived.
-    return 1.0 + hint.shard_cycles;
-  }
-  double DefaultBinBudget(uint64_t /*bin_us*/) const override { return 1e12; }
-  std::string_view name() const override { return "shard-cycles-probe"; }
-
-  std::vector<double> query_shard_cycles() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return query_shard_cycles_;
-  }
-
- private:
-  std::mutex mutex_;
-  std::vector<double> query_shard_cycles_;
-};
-
-TEST(ShardedDeterminism, MeasuringOraclesChargeWorkerShardCycles) {
-  core::SystemConfig cfg;
-  cfg.cycles_per_bin = 1e12;
-  cfg.num_threads = 4;
-  cfg.max_shards_per_query = 4;
-  auto owned_oracle = std::make_unique<ShardCyclesProbeOracle>();
-  ShardCyclesProbeOracle* oracle = owned_oracle.get();
-  core::MonitoringSystem system(cfg, std::move(owned_oracle));
-  system.AddQuery(query::MakeQuery("pattern-search"));  // byte-heavy, shards
-  system.AddQuery(query::MakeQuery("trace"));           // never shards
-
-  trace::Batcher batcher(EquivalenceTrace(), cfg.time_bin_us);
-  trace::Batch batch;
-  ASSERT_TRUE(batcher.Next(batch));
-  ASSERT_GT(batch.size(), 0u);
-  system.ProcessBatch(batch);
-  system.Finish();
-
-  // Both queries charged; the sharded one carried worker-timed shard cycles
-  // into its hint, the non-shardable one must not have.
-  const auto charges = oracle->query_shard_cycles();
-  ASSERT_EQ(charges.size(), 2u);
-  EXPECT_GT(*std::max_element(charges.begin(), charges.end()), 0.0);
-  EXPECT_EQ(*std::min_element(charges.begin(), charges.end()), 0.0);
-  // And the charge (1 + shard_cycles) flowed into the BinLog's accounting.
-  ASSERT_EQ(system.log().size(), 1u);
-  EXPECT_GT(system.log()[0].query_cycles, 2.0);
-}
-
-TEST(ShardedDeterminism, MeasuredOracleToleranceBandSmoke) {
+TEST(ThreadedDeterminism, MeasuredOracleToleranceBandSmoke) {
   // The measured oracle charges real TSC cycles, so two runs are never
-  // bit-identical; under threads + shards it must still behave sanely. With
+  // bit-identical; under a worker pool it must still behave sanely. With
   // ample capacity nothing but the cold-start probe ever sheds: every
   // post-warmup rate stays 1.0, no uncontrolled drops, and the accounting
   // stays inside loose structural bands.
-  auto pipeline = RunShardedPipeline(core::OracleKind::kMeasured, 4, 4, /*capacity=*/1e12);
+  auto pipeline = RunThreadedPipeline(core::OracleKind::kMeasured, 4, /*capacity=*/1e12);
   EXPECT_EQ(pipeline->total_dropped(), 0u);
   EXPECT_EQ(pipeline->total_packets(), EquivalenceTrace().packets.size());
   const auto& log = pipeline->log();

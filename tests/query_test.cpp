@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iterator>
+#include <set>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/query/accuracy.h"
 #include "src/query/boyer_moore.h"
 #include "src/query/queries.h"
+#include "src/sketch/bitmap.h"
 #include "src/trace/batch.h"
 #include "src/trace/generator.h"
 #include "src/trace/spec.h"
@@ -604,6 +610,290 @@ TEST(RunReferenceTest, ReferenceIsSelfConsistent) {
   const auto a = RunReference({"counter"}, t);
   const auto b = RunReference({"counter"}, t);
   EXPECT_NEAR(a[0]->MeanError(*b[0]), 0.0, 1e-12);
+}
+
+// ------------------------------------------------- exact batch-path pins --
+//
+// One small hand-built batch per query, processed at rate 1.0 and at rate
+// 0.3. Each query accumulates exact integer-valued partials (packets, bytes,
+// new keys) over the batch, rescales them once by 1/rate, and charges its
+// work units once per batch, so every expected value below is written from
+// the query's work constants and that single-rounding formula, and compared
+// with EXPECT_EQ: any change to the arithmetic (a per-packet rescale, a
+// different summation order, a second ChargeWork) fails here.
+
+// Six packets over three sources, three destinations, five flows and four
+// application classes; two are header-only (pattern-search scans their
+// records instead).
+Fixture PinFixture() {
+  Fixture fx;
+  fx.Add(1, 100, 30000, 80, net::kProtoTcp, 1500, "GET / HTTP/1.1\r\n");  // web
+  fx.Add(1, 100, 30000, 80, net::kProtoTcp, 40);                          // web, same flow
+  fx.Add(2, 200, 53, 40000, net::kProtoUdp, 90, "xxxxHTTP/1.1");          // dns (source port)
+  fx.Add(3, 100, 30001, 6881, net::kProtoTcp, 700, std::string(64, 'z'));  // p2p
+  fx.Add(2, 300, 30002, 40001, net::kProtoTcp, 333);                       // other
+  fx.Add(1, 200, 30003, 443, net::kProtoTcp, 1200, "HTTP/1.0 200");        // web
+  return fx;
+}
+
+constexpr double kPinPackets = 6.0;
+constexpr double kPinBytes = 1500.0 + 40.0 + 90.0 + 700.0 + 333.0 + 1200.0;
+
+size_t AppIndex(net::AppClass app) { return static_cast<size_t>(app); }
+
+// The parameter is the batch's sampling rate.
+class BatchPathPin : public ::testing::TestWithParam<double> {};
+
+TEST_P(BatchPathPin, Counter) {
+  const Fixture fx = PinFixture();
+  const auto packets = fx.Packets();
+  const double rate = GetParam();
+  const double inv = 1.0 / rate;
+  CounterQuery q;
+  q.ProcessBatch(Input(packets, rate));
+  EXPECT_EQ(q.work_units(), 40.0 * kPinPackets);
+  q.EndInterval();
+  EXPECT_EQ(q.snapshots()[0].pkts, kPinPackets * inv);
+  EXPECT_EQ(q.snapshots()[0].bytes, kPinBytes * inv);
+}
+
+TEST_P(BatchPathPin, Application) {
+  const Fixture fx = PinFixture();
+  const auto packets = fx.Packets();
+  const double rate = GetParam();
+  const double inv = 1.0 / rate;
+  ApplicationQuery q;
+  q.ProcessBatch(Input(packets, rate));
+  EXPECT_EQ(q.work_units(), 70.0 * kPinPackets);
+  q.EndInterval();
+  ApplicationQuery::Snapshot expected;
+  expected.pkts[AppIndex(net::AppClass::kWeb)] = 3.0 * inv;
+  expected.bytes[AppIndex(net::AppClass::kWeb)] = (1500.0 + 40.0 + 1200.0) * inv;
+  expected.pkts[AppIndex(net::AppClass::kDns)] = 1.0 * inv;
+  expected.bytes[AppIndex(net::AppClass::kDns)] = 90.0 * inv;
+  expected.pkts[AppIndex(net::AppClass::kP2p)] = 1.0 * inv;
+  expected.bytes[AppIndex(net::AppClass::kP2p)] = 700.0 * inv;
+  expected.pkts[AppIndex(net::AppClass::kOther)] = 1.0 * inv;
+  expected.bytes[AppIndex(net::AppClass::kOther)] = 333.0 * inv;
+  EXPECT_EQ(q.snapshots()[0].pkts, expected.pkts);
+  EXPECT_EQ(q.snapshots()[0].bytes, expected.bytes);
+}
+
+TEST_P(BatchPathPin, HighWatermark) {
+  const Fixture fx = PinFixture();
+  const auto packets = fx.Packets();
+  const double rate = GetParam();
+  HighWatermarkQuery q;
+  q.ProcessBatch(Input(packets, rate));
+  EXPECT_EQ(q.work_units(), 45.0 * kPinPackets);
+  q.EndInterval();
+  EXPECT_EQ(q.watermarks()[0], kPinBytes * (1.0 / rate));
+}
+
+TEST_P(BatchPathPin, Flows) {
+  const Fixture fx = PinFixture();
+  const auto packets = fx.Packets();
+  const double rate = GetParam();
+  FlowsQuery q;
+  q.ProcessBatch(Input(packets, rate));
+  EXPECT_EQ(q.work_units(), 90.0 * kPinPackets + 700.0 * 5.0);  // five new flows
+  q.EndInterval();
+  EXPECT_EQ(q.flow_counts()[0], 5.0 * (1.0 / rate));
+}
+
+TEST_P(BatchPathPin, TopK) {
+  const Fixture fx = PinFixture();
+  const auto packets = fx.Packets();
+  const double rate = GetParam();
+  const double inv = 1.0 / rate;
+  TopKQuery q;
+  q.ProcessBatch(Input(packets, rate));
+  EXPECT_EQ(q.work_units(), 110.0 * kPinPackets + 350.0 * 3.0);  // three new destinations
+  q.EndInterval();
+  const std::vector<std::pair<uint32_t, double>> expected = {
+      {100, (1500.0 + 40.0 + 700.0) * inv}, {200, (90.0 + 1200.0) * inv}, {300, 333.0 * inv}};
+  EXPECT_EQ(q.snapshots()[0].topk, expected);
+  EXPECT_EQ(q.snapshots()[0].all.size(), 3u);
+}
+
+TEST_P(BatchPathPin, PatternSearch) {
+  const Fixture fx = PinFixture();
+  const auto packets = fx.Packets();
+  // Payload bytes scanned, plus one whole record per header-only packet.
+  const double scanned = 16.0 + 12.0 + 64.0 + 12.0 + 2.0 * sizeof(net::PacketRecord);
+  const double rate = GetParam();
+  PatternSearchQuery q("HTTP/1.1");
+  q.ProcessBatch(Input(packets, rate));
+  EXPECT_EQ(q.work_units(), 30.0 * kPinPackets + 2.6 * scanned);
+  q.EndInterval();
+  EXPECT_EQ(q.match_counts()[0], 2.0 * (1.0 / rate));  // packets 1 and 3
+}
+
+TEST_P(BatchPathPin, Autofocus) {
+  const Fixture fx = PinFixture();
+  const auto packets = fx.Packets();
+  const double rate = GetParam();
+  AutofocusQuery q;
+  q.ProcessBatch(Input(packets, rate));
+  EXPECT_EQ(q.work_units(), 80.0 * kPinPackets + 260.0 * 3.0);  // three new sources
+  q.EndInterval();
+  // Every source carries over 2% of the bytes, so each is its own /32
+  // cluster and no covering prefix has unreported traffic left.
+  const std::set<uint64_t> expected = {(1ULL << 8) | 32u, (2ULL << 8) | 32u,
+                                       (3ULL << 8) | 32u};
+  EXPECT_EQ(q.reports()[0], expected);
+  EXPECT_EQ(q.work_units(), 80.0 * kPinPackets + 260.0 * 3.0 + 30.0 * 3.0);
+}
+
+TEST_P(BatchPathPin, SuperSources) {
+  const Fixture fx = PinFixture();
+  const auto packets = fx.Packets();
+  // Linear-counting estimates for one and two distinct destinations.
+  sketch::DirectBitmap one(128);
+  one.Insert(0);
+  sketch::DirectBitmap two(128);
+  two.Insert(0);
+  two.Insert(1);
+  const double rate = GetParam();
+  SuperSourcesQuery q;
+  q.ProcessBatch(Input(packets, rate));
+  EXPECT_EQ(q.work_units(), 85.0 * kPinPackets + 420.0 * 3.0);  // three new sources
+  q.EndInterval();
+  const auto& all = q.snapshots()[0].all;
+  ASSERT_EQ(all.size(), 3u);
+  EXPECT_EQ(all.at(1), two.Estimate() / rate);  // 100, 200
+  EXPECT_EQ(all.at(2), two.Estimate() / rate);  // 200, 300
+  EXPECT_EQ(all.at(3), one.Estimate() / rate);  // 100
+}
+
+INSTANTIATE_TEST_SUITE_P(Rates, BatchPathPin, ::testing::Values(1.0, 0.3),
+                         [](const auto& info) {
+                           return info.param == 1.0 ? std::string("full_rate")
+                                                    : std::string("rate_0_3");
+                         });
+
+// ---------------------------------------------- randomised batch-path sums --
+//
+// Counter, application and high-watermark fold each batch in one direct
+// loop. These runs drive them with random bins (empty ones included) at
+// mixed sampling rates over several intervals and compare every snapshot,
+// the processed-packet count and work_units() exactly with sums written out
+// here: per batch, exact partials times 1/rate; per interval, a reset.
+
+struct RandomBatch {
+  Fixture fx;
+  trace::PacketVec packets;
+  double rate = 1.0;
+};
+
+// intervals x (1..12 bins) of 0..149 packets each, ports drawn so every
+// application class and unclassified traffic appear.
+std::vector<std::vector<RandomBatch>> RandomIntervals(uint64_t seed, size_t intervals) {
+  static constexpr uint16_t kPorts[] = {80, 443, 53, 25, 6881, 554, 22, 31000, 40001};
+  static constexpr double kRates[] = {1.0, 0.5, 0.3, 0.1, 0.07};
+  util::Rng rng(seed);
+  std::vector<std::vector<RandomBatch>> out(intervals);
+  for (auto& bins : out) {
+    bins.resize(1 + rng.NextBelow(12));
+    for (RandomBatch& b : bins) {
+      const size_t n = rng.NextBelow(150);
+      for (size_t i = 0; i < n; ++i) {
+        b.fx.Add(static_cast<uint32_t>(1 + rng.NextBelow(20)),
+                 static_cast<uint32_t>(100 + rng.NextBelow(20)),
+                 kPorts[rng.NextBelow(std::size(kPorts))], kPorts[rng.NextBelow(std::size(kPorts))],
+                 net::kProtoTcp, static_cast<uint16_t>(40 + rng.NextBelow(1461)));
+      }
+      b.rate = kRates[rng.NextBelow(std::size(kRates))];
+    }
+    for (RandomBatch& b : bins) {
+      b.packets = b.fx.Packets();  // after every resize: views point into fx
+    }
+  }
+  return out;
+}
+
+double WireBytes(const trace::PacketVec& packets) {
+  double bytes = 0.0;
+  for (const net::Packet& p : packets) {
+    bytes += static_cast<double>(p.rec->wire_len);
+  }
+  return bytes;
+}
+
+TEST(BatchPathReference, CounterSumsEveryBatchExactly) {
+  for (const uint64_t seed : {11u, 12u, 13u}) {
+    SCOPED_TRACE(seed);
+    const auto intervals = RandomIntervals(seed, 4);
+    CounterQuery q;
+    double work = 0.0;
+    for (size_t i = 0; i < intervals.size(); ++i) {
+      CounterQuery::Snapshot want;
+      double raw = 0.0;
+      for (const RandomBatch& b : intervals[i]) {
+        q.ProcessBatch(Input(b.packets, b.rate));
+        const double n = static_cast<double>(b.packets.size());
+        want.pkts += n * (1.0 / b.rate);
+        want.bytes += WireBytes(b.packets) * (1.0 / b.rate);
+        raw += n;
+        work += 40.0 * n;
+        EXPECT_EQ(q.work_units(), work);
+      }
+      q.EndInterval();
+      EXPECT_EQ(q.snapshots()[i].pkts, want.pkts);
+      EXPECT_EQ(q.snapshots()[i].bytes, want.bytes);
+      EXPECT_EQ(q.IntervalPacketsProcessed(i), raw);
+    }
+  }
+}
+
+TEST(BatchPathReference, ApplicationSumsEveryClassExactly) {
+  for (const uint64_t seed : {21u, 22u, 23u}) {
+    SCOPED_TRACE(seed);
+    const auto intervals = RandomIntervals(seed, 4);
+    ApplicationQuery q;
+    double work = 0.0;
+    for (size_t i = 0; i < intervals.size(); ++i) {
+      ApplicationQuery::Snapshot want;
+      for (const RandomBatch& b : intervals[i]) {
+        q.ProcessBatch(Input(b.packets, b.rate));
+        ApplicationQuery::Snapshot partial;
+        for (const net::Packet& p : b.packets) {
+          const size_t app = AppIndex(ApplicationQuery::ClassifyPorts(p.rec->tuple));
+          partial.pkts[app] += 1.0;
+          partial.bytes[app] += static_cast<double>(p.rec->wire_len);
+        }
+        for (size_t a = 0; a < want.pkts.size(); ++a) {
+          want.pkts[a] += partial.pkts[a] * (1.0 / b.rate);
+          want.bytes[a] += partial.bytes[a] * (1.0 / b.rate);
+        }
+        work += 70.0 * static_cast<double>(b.packets.size());
+        EXPECT_EQ(q.work_units(), work);
+      }
+      q.EndInterval();
+      EXPECT_EQ(q.snapshots()[i].pkts, want.pkts);
+      EXPECT_EQ(q.snapshots()[i].bytes, want.bytes);
+    }
+  }
+}
+
+TEST(BatchPathReference, HighWatermarkKeepsThePeakBatch) {
+  for (const uint64_t seed : {31u, 32u, 33u}) {
+    SCOPED_TRACE(seed);
+    const auto intervals = RandomIntervals(seed, 4);
+    HighWatermarkQuery q;
+    double work = 0.0;
+    for (size_t i = 0; i < intervals.size(); ++i) {
+      double want = 0.0;
+      for (const RandomBatch& b : intervals[i]) {
+        q.ProcessBatch(Input(b.packets, b.rate));
+        want = std::max(want, WireBytes(b.packets) * (1.0 / b.rate));
+        work += 45.0 * static_cast<double>(b.packets.size());
+        EXPECT_EQ(q.work_units(), work);
+      }
+      q.EndInterval();
+      EXPECT_EQ(q.watermarks()[i], want);
+    }
+  }
 }
 
 // Parameterized sweep reproducing Fig. 6.4's shape: error grows as the

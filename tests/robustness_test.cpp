@@ -3,7 +3,7 @@
 // under injected I/O faults, crash-safe checkpoint / restore replay, and —
 // the other side of the coin — proof that a pipeline with every rt feature
 // armed but no faults firing produces BinLogs bit-identical to a plain
-// pipeline at every (threads x shards) combination.
+// pipeline at every thread count.
 //
 // All time is a ManualClock: "this bin overran" is something the fault plan
 // states, never something the test hopes the scheduler reproduces.
@@ -41,11 +41,10 @@ const trace::Trace& RobustnessTrace() {
   return trace;
 }
 
-core::SystemConfig BaseConfig(size_t threads, size_t shards) {
+core::SystemConfig BaseConfig(size_t threads) {
   core::SystemConfig config;
   config.shedder = core::ShedderKind::kPredictive;
   config.num_threads = threads;
-  config.max_shards_per_query = shards;
   config.cycles_per_bin = 0.5 * core::MeasureMeanDemand({"counter", "flows"}, RobustnessTrace(),
                                                         core::OracleKind::kModel);
   return config;
@@ -108,7 +107,7 @@ TEST(Robustness, DeadlineLadderFiresUnderInjectedStalls) {
   governor.decay_bins = 2;
 
   auto pipeline = api::PipelineBuilder()
-                      .Config(BaseConfig(0, 1))
+                      .Config(BaseConfig(0))
                       .AddQuery("counter")
                       .AddQuery("flows")
                       .RtClock(clock)
@@ -154,7 +153,7 @@ TEST(Robustness, LadderDecaysToCleanAfterTheOverloadPasses) {
   governor.decay_bins = 2;
 
   auto pipeline = api::PipelineBuilder()
-                      .Config(BaseConfig(0, 1))
+                      .Config(BaseConfig(0))
                       .AddQuery("counter")
                       .AddQuery("flows")
                       .RtClock(clock)
@@ -201,7 +200,7 @@ TEST(Robustness, ReferenceStallIsNotADeadlineMiss) {
   const auto run = [](bool governed) {
     auto clock = std::make_shared<rt::ManualClock>();
     api::PipelineBuilder builder;
-    builder.Config(BaseConfig(0, 1)).RtClock(clock);
+    builder.Config(BaseConfig(0)).RtClock(clock);
     if (governed) {
       builder.Deadline(0.9);
     }
@@ -225,10 +224,10 @@ TEST(Robustness, ReferenceStallIsNotADeadlineMiss) {
 // No-fault bit-identity: the rt layer must be invisible until it fires
 // ---------------------------------------------------------------------------
 
-TEST(Robustness, NoFaultRunsAreBitIdenticalAtEveryThreadAndShardCount) {
+TEST(Robustness, NoFaultRunsAreBitIdenticalAtEveryThreadCount) {
   // Golden: a plain pipeline with no rt features at all.
   auto golden = api::PipelineBuilder()
-                    .Config(BaseConfig(0, 1))
+                    .Config(BaseConfig(0))
                     .AddQuery("counter")
                     .AddQuery("flows")
                     .BuildUnique();
@@ -236,31 +235,26 @@ TEST(Robustness, NoFaultRunsAreBitIdenticalAtEveryThreadAndShardCount) {
   golden->Finish();
 
   for (const size_t threads : {size_t{0}, size_t{2}, size_t{4}}) {
-    for (const size_t shards : {size_t{1}, size_t{8}}) {
-      if (threads == 0 && shards > 1) {
-        continue;  // rejected by eager validation; covered in exec_test
-      }
-      SCOPED_TRACE("threads " + std::to_string(threads) + " shards " + std::to_string(shards));
-      // Everything armed: governor (never fires — the ManualClock does not
-      // move), fault injector with an empty plan, sink retry on a JSONL sink.
-      const std::string jsonl = ::testing::TempDir() + "shedmon_robustness_identity.jsonl";
-      auto armed = api::PipelineBuilder()
-                       .Config(BaseConfig(threads, shards))
-                       .AddQuery("counter")
-                       .AddQuery("flows")
-                       .JsonlTo(jsonl)
-                       .RtClock(std::make_shared<rt::ManualClock>())
-                       .Deadline(0.9)
-                       .InjectFaults(rt::FaultPlan::Parse("seed=42"))
-                       .SinkRetry(rt::RetryPolicy{})
-                       .BuildUnique();
-      armed->Push(RobustnessTrace());
-      armed->Finish();
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    // Everything armed: governor (never fires — the ManualClock does not
+    // move), fault injector with an empty plan, sink retry on a JSONL sink.
+    const std::string jsonl = ::testing::TempDir() + "shedmon_robustness_identity.jsonl";
+    auto armed = api::PipelineBuilder()
+                     .Config(BaseConfig(threads))
+                     .AddQuery("counter")
+                     .AddQuery("flows")
+                     .JsonlTo(jsonl)
+                     .RtClock(std::make_shared<rt::ManualClock>())
+                     .Deadline(0.9)
+                     .InjectFaults(rt::FaultPlan::Parse("seed=42"))
+                     .SinkRetry(rt::RetryPolicy{})
+                     .BuildUnique();
+    armed->Push(RobustnessTrace());
+    armed->Finish();
 
-      ExpectBinLogsIdentical(golden->log(), armed->log());
-      EXPECT_EQ(armed->Stats().deadline_misses, 0u);
-      std::remove(jsonl.c_str());
-    }
+    ExpectBinLogsIdentical(golden->log(), armed->log());
+    EXPECT_EQ(armed->Stats().deadline_misses, 0u);
+    std::remove(jsonl.c_str());
   }
 }
 
@@ -275,7 +269,7 @@ TEST(Robustness, SinkRetriesRecoverFromTransientFaults) {
   retry.max_retries = 3;
   retry.jitter_fraction = 0.0;
   auto pipeline = api::PipelineBuilder()
-                      .Config(BaseConfig(0, 1))
+                      .Config(BaseConfig(0))
                       .AddQuery("counter")
                       .JsonlTo(path)
                       .RtClock(clock)
@@ -305,7 +299,7 @@ TEST(Robustness, SinkQuarantineKeepsTheMeasurementAlive) {
   retry.max_retries = 2;
   retry.jitter_fraction = 0.0;
   auto pipeline = api::PipelineBuilder()
-                      .Config(BaseConfig(0, 1))
+                      .Config(BaseConfig(0))
                       .AddQuery("counter")
                       .AddQuery("flows")
                       .JsonlTo(path)
@@ -334,7 +328,7 @@ TEST(Robustness, SinkQuarantineKeepsTheMeasurementAlive) {
 TEST(Robustness, CheckpointThenRestoreReplaysTheRemainingBinsFieldExactly) {
   const std::string path = ::testing::TempDir() + "shedmon_robustness_checkpoint.bin";
   std::remove(path.c_str());
-  const core::SystemConfig config = BaseConfig(0, 1);
+  const core::SystemConfig config = BaseConfig(0);
 
   auto full = api::PipelineBuilder().Config(config).AddQuery("counter").AddQuery("flows")
                   .BuildUnique();
@@ -443,7 +437,7 @@ TEST(Robustness, RestoreOrBuildKeepsTheBuildersSinksAndLog) {
   rt::RetryPolicy retry;
   retry.max_retries = 3;
   api::PipelineBuilder builder;
-  builder.Config(BaseConfig(0, 1))
+  builder.Config(BaseConfig(0))
       .AddQuery("counter")
       .AddQuery("flows")
       .CsvTo(csv)
@@ -504,7 +498,7 @@ TEST(Robustness, RestoreOrBuildValidatesBeforeRestoring) {
   const std::string checkpoint = ::testing::TempDir() + "shedmon_robustness_validate.bin";
   std::remove(checkpoint.c_str());
   api::PipelineBuilder builder;
-  builder.Config(BaseConfig(0, 1)).AddQuery("counter").CheckpointTo(checkpoint).CheckpointEvery(10);
+  builder.Config(BaseConfig(0)).AddQuery("counter").CheckpointTo(checkpoint).CheckpointEvery(10);
   RunVictimPastBin20(builder);
   ASSERT_NO_THROW(api::PipelineBuilder::Restore(checkpoint));
 
@@ -519,7 +513,7 @@ TEST(Robustness, RestoreOrBuildValidatesBeforeRestoring) {
 TEST(Robustness, InjectedCheckpointCorruptionIsDetectedOnRestore) {
   const std::string path = ::testing::TempDir() + "shedmon_robustness_bitflip.bin";
   std::remove(path.c_str());
-  const core::SystemConfig config = BaseConfig(0, 1);
+  const core::SystemConfig config = BaseConfig(0);
   {
     auto victim = api::PipelineBuilder()
                       .Config(config)
@@ -555,7 +549,7 @@ TEST(Robustness, SinksCarryTheDegradationColumns) {
   rt::GovernorConfig governor;
   governor.budget_fraction = 0.5;
   auto pipeline = api::PipelineBuilder()
-                      .Config(BaseConfig(0, 1))
+                      .Config(BaseConfig(0))
                       .AddQuery("counter")
                       .RtClock(clock)
                       .Deadline(governor)

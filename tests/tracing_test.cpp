@@ -5,7 +5,7 @@
 // /stats and /trace, reject malformed requests, and fail Build() loudly
 // when its port is taken. Above all, both surfaces are one-way: a pipeline
 // being traced and scraped under load produces BinLogs bit-identical to a
-// plain one at every (threads x shards) combination.
+// plain one at every thread count.
 
 #include <gtest/gtest.h>
 
@@ -41,20 +41,18 @@ const trace::Trace& TracingTrace() {
   return trace;
 }
 
-core::SystemConfig BaseConfig(size_t threads, size_t shards) {
+core::SystemConfig BaseConfig(size_t threads) {
   core::SystemConfig config;
   config.shedder = core::ShedderKind::kPredictive;
   config.num_threads = threads;
-  config.max_shards_per_query = shards;
   config.cycles_per_bin = 0.5 * core::MeasureMeanDemand({"counter", "flows"}, TracingTrace(),
                                                         core::OracleKind::kModel);
   return config;
 }
 
-std::unique_ptr<api::Pipeline> BuildPipeline(size_t threads, size_t shards, bool tracing,
-                                             bool serve) {
+std::unique_ptr<api::Pipeline> BuildPipeline(size_t threads, bool tracing, bool serve) {
   api::PipelineBuilder builder;
-  builder.Config(BaseConfig(threads, shards)).AddQuery("counter").AddQuery("flows");
+  builder.Config(BaseConfig(threads)).AddQuery("counter").AddQuery("flows");
   if (tracing) {
     builder.Tracing();
   }
@@ -162,10 +160,10 @@ std::vector<uint64_t> JsonFieldValues(const std::string& json, const std::string
 // Tracer: span coverage, export schema, bounded drops
 // ---------------------------------------------------------------------------
 
-TEST(Tracing, SpansCoverEveryStageAcrossThreadsAndShards) {
-  for (const auto& [threads, shards] : std::vector<std::pair<size_t, size_t>>{{0, 1}, {4, 8}}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads) + " shards=" + std::to_string(shards));
-    auto pipeline = BuildPipeline(threads, shards, /*tracing=*/true, /*serve=*/false);
+TEST(Tracing, SpansCoverEveryStageAcrossThreads) {
+  for (const size_t threads : {size_t{0}, size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    auto pipeline = BuildPipeline(threads, /*tracing=*/true, /*serve=*/false);
     pipeline->Push(TracingTrace());
     pipeline->Finish();
 
@@ -180,15 +178,11 @@ TEST(Tracing, SpansCoverEveryStageAcrossThreadsAndShards) {
     EXPECT_TRUE(seen[static_cast<size_t>(obs::Stage::kShedDecision)]);
     EXPECT_TRUE(seen[static_cast<size_t>(obs::Stage::kQuery)]);
     EXPECT_TRUE(seen[static_cast<size_t>(obs::Stage::kSink)]);
-    if (threads > 0 && shards > 1) {
-      EXPECT_TRUE(seen[static_cast<size_t>(obs::Stage::kShard)]);
-      EXPECT_TRUE(seen[static_cast<size_t>(obs::Stage::kMerge)]);
-    }
   }
 }
 
 TEST(Tracing, ExportIsWellFormedChromeTraceJson) {
-  auto pipeline = BuildPipeline(2, 8, /*tracing=*/true, /*serve=*/false);
+  auto pipeline = BuildPipeline(2, /*tracing=*/true, /*serve=*/false);
   pipeline->Push(TracingTrace());
   pipeline->Finish();
   const std::string json = pipeline->tracer()->ExportChromeTrace();
@@ -239,7 +233,7 @@ TEST(Tracing, DroppedSpansAreCountedNeverSilent) {
 }
 
 TEST(Tracing, StageWallHistogramsRideTheSameSpans) {
-  auto pipeline = BuildPipeline(0, 1, /*tracing=*/true, /*serve=*/false);
+  auto pipeline = BuildPipeline(0, /*tracing=*/true, /*serve=*/false);
   pipeline->Push(TracingTrace());
   pipeline->Finish();
   size_t stage_samples = 0;
@@ -258,7 +252,7 @@ TEST(Tracing, StageWallHistogramsRideTheSameSpans) {
 // ---------------------------------------------------------------------------
 
 TEST(Tracing, HttpEndpointsServeMetricsHealthzStatsTrace) {
-  auto pipeline = BuildPipeline(0, 1, /*tracing=*/true, /*serve=*/true);
+  auto pipeline = BuildPipeline(0, /*tracing=*/true, /*serve=*/true);
   const uint16_t port = pipeline->serve_port();
   ASSERT_GT(port, 0);
   pipeline->Push(TracingTrace());
@@ -287,7 +281,7 @@ TEST(Tracing, HttpEndpointsServeMetricsHealthzStatsTrace) {
 }
 
 TEST(Tracing, HttpMalformedRequestGets400) {
-  auto pipeline = BuildPipeline(0, 1, /*tracing=*/false, /*serve=*/true);
+  auto pipeline = BuildPipeline(0, /*tracing=*/false, /*serve=*/true);
   EXPECT_NE(SendRaw(pipeline->serve_port(), "GARBAGE\r\n\r\n").find("400 Bad Request"),
             std::string::npos);
   EXPECT_NE(SendRaw(pipeline->serve_port(), "GET /metrics SMTP/1.0\r\n\r\n")
@@ -303,7 +297,7 @@ TEST(Tracing, HttpSegmentedRequestIsReassembled) {
   // A GET split across TCP segments (tiny congestion windows, deliberate
   // trickling) must be reassembled up to the blank-line terminator, not
   // parsed fragment-by-fragment. The old single-recv server answered 400.
-  auto pipeline = BuildPipeline(0, 1, /*tracing=*/false, /*serve=*/true);
+  auto pipeline = BuildPipeline(0, /*tracing=*/false, /*serve=*/true);
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   ASSERT_GE(fd, 0);
   sockaddr_in addr = {};
@@ -335,7 +329,7 @@ TEST(Tracing, HttpOversizedHeaderIsCappedNotBuffered) {
   // terminator is cut off at the 16 KiB cap: the server answers from what it
   // has (instead of growing an unbounded std::string or hanging until the
   // flood ends), closes the connection, and keeps serving other clients.
-  auto pipeline = BuildPipeline(0, 1, /*tracing=*/false, /*serve=*/true);
+  auto pipeline = BuildPipeline(0, /*tracing=*/false, /*serve=*/true);
   std::string request = "GET /healthz HTTP/1.1\r\n";
   request.append(64 * 1024, 'X');  // 4x the cap, no terminator
   const std::string reply = SendRaw(pipeline->serve_port(), request);
@@ -345,12 +339,12 @@ TEST(Tracing, HttpOversizedHeaderIsCappedNotBuffered) {
 }
 
 TEST(Tracing, HttpUnknownPathGets404) {
-  auto pipeline = BuildPipeline(0, 1, /*tracing=*/false, /*serve=*/true);
+  auto pipeline = BuildPipeline(0, /*tracing=*/false, /*serve=*/true);
   EXPECT_EQ(Get(pipeline->serve_port(), "/nope").status, 404);
 }
 
 TEST(Tracing, HttpTraceIs404WhenTracingDisabled) {
-  auto pipeline = BuildPipeline(0, 1, /*tracing=*/false, /*serve=*/true);
+  auto pipeline = BuildPipeline(0, /*tracing=*/false, /*serve=*/true);
   const HttpReply reply = Get(pipeline->serve_port(), "/trace");
   EXPECT_EQ(reply.status, 404);
   EXPECT_NE(reply.body.find("tracing disabled"), std::string::npos);
@@ -371,7 +365,7 @@ TEST(Tracing, HttpPortInUseFailsAtBuildWithConfigError) {
   const uint16_t taken = ntohs(addr.sin_port);
 
   api::PipelineBuilder builder;
-  builder.Config(BaseConfig(0, 1)).AddQuery("counter").ServeOn(taken);
+  builder.Config(BaseConfig(0)).AddQuery("counter").ServeOn(taken);
   EXPECT_THROW(builder.BuildUnique(), api::ConfigError);
   ::close(fd);
 }
@@ -383,41 +377,36 @@ TEST(Tracing, HttpPortInUseFailsAtBuildWithConfigError) {
 // The load-shedding results must not depend on whether anyone is watching: a
 // pipeline with tracing enabled and scrapers hammering every endpoint
 // mid-run produces BinLogs bit-identical to a plain pipeline, at every
-// (threads x shards) combination.
-TEST(Tracing, ScrapedPipelineDeterminismAtEveryThreadAndShardCount) {
+// thread count.
+TEST(Tracing, ScrapedPipelineDeterminismAtEveryThreadCount) {
   for (const size_t threads : {0, 2, 4}) {
-    for (const size_t shards : {1, 8}) {
-      if (threads == 0 && shards > 1) {
-        continue;  // sharding requires a worker pool
-      }
-      SCOPED_TRACE("threads=" + std::to_string(threads) + " shards=" + std::to_string(shards));
+    SCOPED_TRACE("threads=" + std::to_string(threads));
 
-      auto golden = BuildPipeline(threads, shards, /*tracing=*/false, /*serve=*/false);
-      golden->Push(TracingTrace());
-      golden->Finish();
+    auto golden = BuildPipeline(threads, /*tracing=*/false, /*serve=*/false);
+    golden->Push(TracingTrace());
+    golden->Finish();
 
-      auto observed = BuildPipeline(threads, shards, /*tracing=*/true, /*serve=*/true);
-      const uint16_t port = observed->serve_port();
-      std::atomic<bool> stop{false};
-      std::vector<std::thread> scrapers;
-      for (int s = 0; s < 2; ++s) {
-        scrapers.emplace_back([port, &stop] {
-          const std::string paths[] = {"/metrics", "/healthz", "/stats", "/trace"};
-          for (size_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
-            Get(port, paths[i % 4]);
-          }
-        });
-      }
-      observed->Push(TracingTrace());
-      observed->Finish();
-      stop.store(true, std::memory_order_relaxed);
-      for (std::thread& scraper : scrapers) {
-        scraper.join();
-      }
-      observed->StopServing();
-
-      ExpectBinLogsIdentical(golden->log(), observed->log());
+    auto observed = BuildPipeline(threads, /*tracing=*/true, /*serve=*/true);
+    const uint16_t port = observed->serve_port();
+    std::atomic<bool> stop{false};
+    std::vector<std::thread> scrapers;
+    for (int s = 0; s < 2; ++s) {
+      scrapers.emplace_back([port, &stop] {
+        const std::string paths[] = {"/metrics", "/healthz", "/stats", "/trace"};
+        for (size_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+          Get(port, paths[i % 4]);
+        }
+      });
     }
+    observed->Push(TracingTrace());
+    observed->Finish();
+    stop.store(true, std::memory_order_relaxed);
+    for (std::thread& scraper : scrapers) {
+      scraper.join();
+    }
+    observed->StopServing();
+
+    ExpectBinLogsIdentical(golden->log(), observed->log());
   }
 }
 

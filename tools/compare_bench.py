@@ -40,7 +40,6 @@ HOT_PATH = (
     "BM_PipelinePackets",
     "BM_PipelinePacketsTraced",
     "BM_PipelinePacketsThreads",
-    "BM_PipelinePacketsShards",
 )
 
 # Paired overhead gates: (instrumented, plain, max tolerated fractional

@@ -150,7 +150,7 @@ int Usage() {
       "  run         FILE --queries a,b,c [--k 0.5] [--strategy eq|cpu|pkt]\n"
       "              [--shedder predictive|reactive|none] [--custom]\n"
       "              [--oracle model|measured] [--bin-us N] [--threads N]\n"
-      "              [--shards N] [--csv FILE] [--jsonl FILE]\n"
+      "              [--csv FILE] [--jsonl FILE]\n"
       "              [--config FILE] [--metrics-out FILE]\n"
       "              [--deadline F] [--fault-plan SPEC] [--sink-retries N]\n"
       "              [--checkpoint FILE] [--checkpoint-every N] [--restore]\n"
@@ -160,7 +160,7 @@ int Usage() {
       "              [--duration S] [--slots N] [--snap BYTES] [--queue N]\n"
       "              [--overflow block|drop-newest|drop-oldest]\n"
       "              [--late-slack-us N] [--config FILE] (plus run's\n"
-      "              --threads --shards --shedder --strategy --custom\n"
+      "              --threads --shedder --strategy --custom\n"
       "              --deadline --csv --jsonl --serve --trace-out\n"
       "              --metrics-out)\n"
       "  replay      FILE --udp PORT | --tcp PORT [--pps N]\n"
@@ -406,12 +406,6 @@ int CmdRun(const Flags& flags) {
   if (overrides("threads")) {
     builder.Threads(flags.GetU64("threads", 0));
   }
-  if (overrides("shards")) {
-    // Intra-query sharding: split one query's bin batch across the worker
-    // pool (only effective with --threads > 0); results are bit-identical at
-    // any shard count.
-    builder.MaxShardsPerQuery(flags.GetU64("shards", 1));
-  }
 
   // Capacity: --k provisions a fraction of the measured demand. A config
   // file's explicit cycles_per_bin wins unless --k is passed.
@@ -612,9 +606,6 @@ int CmdCapture(const Flags& flags) {
   if (flags.Has("threads")) {
     builder.Threads(flags.GetU64("threads", 0));
   }
-  if (flags.Has("shards")) {
-    builder.MaxShardsPerQuery(flags.GetU64("shards", 1));
-  }
   if (flags.Has("csv")) {
     builder.CsvTo(flags.Get("csv"));
   }
@@ -797,11 +788,11 @@ const std::vector<Command>& Commands() {
        {"out", "start", "duration", "pps", "on-off", "target-ip", "seed"}},
       {"run", CmdRun,
        {"config", "queries", "k", "strategy", "shedder", "custom", "oracle", "bin-us",
-        "threads", "shards", "csv", "jsonl", "metrics-out", "deadline", "fault-plan",
+        "threads", "csv", "jsonl", "metrics-out", "deadline", "fault-plan",
         "sink-retries", "checkpoint", "checkpoint-every", "restore", "serve", "trace-out"}},
       {"capture", CmdCapture,
        {"listen-udp", "listen-tcp", "follow-pcap", "queries", "capacity", "bin-us", "duration",
-        "slots", "snap", "queue", "overflow", "late-slack-us", "config", "threads", "shards",
+        "slots", "snap", "queue", "overflow", "late-slack-us", "config", "threads",
         "shedder", "strategy", "custom", "deadline", "csv", "jsonl", "serve", "trace-out",
         "metrics-out"}},
       {"replay", CmdReplay, {"udp", "tcp", "pps"}},

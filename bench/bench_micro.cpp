@@ -11,6 +11,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <array>
 #include <functional>
 #include <memory>
 #include <string>
@@ -224,19 +225,69 @@ void BM_MlrFitAndPredict(benchmark::State& state) {
 }
 BENCHMARK(BM_MlrFitAndPredict)->Arg(30)->Arg(60)->Arg(120);
 
-void BM_FcbfSelection(benchmark::State& state) {
-  const size_t n = 60;
-  predict::Matrix x(n, features::kNumFeatures);
-  std::vector<double> y(n);
-  util::Rng rng(5);
-  for (size_t r = 0; r < n; ++r) {
-    for (int c = 0; c < features::kNumFeatures; ++c) {
-      x.At(r, static_cast<size_t>(c)) = rng.NextDouble() * 100.0;
-    }
-    y[r] = x.At(r, 0) * 40.0 + rng.NextGaussian();
+// Every one of the 42 columns varies, each a different mix of two traffic
+// drivers plus noise, so FCBF ranks most of them and its redundancy phase
+// compares many pairs; BM_MlrFitAndPredict varies only three columns.
+features::FeatureVector CorrelatedFeatures(util::Rng& rng, double* cycles) {
+  const double pkts = 100.0 + rng.NextDouble() * 400.0;
+  const double flows = 10.0 + rng.NextDouble() * 100.0;
+  features::FeatureVector f{};
+  for (size_t c = 0; c < f.size(); ++c) {
+    const double w = static_cast<double>(c) / static_cast<double>(f.size() - 1);
+    f[c] = (1.0 - w) * pkts * (1.0 + static_cast<double>(c)) + w * flows * 50.0 +
+           rng.NextGaussian() * 5.0;
+  }
+  *cycles = 40.0 * pkts + 300.0 * flows;
+  return f;
+}
+
+void BM_MlrFitAndPredictAllFeatures(benchmark::State& state) {
+  predict::MlrPredictor::Config cfg;
+  cfg.history = static_cast<size_t>(state.range(0));
+  predict::MlrPredictor predictor(cfg);
+  util::Rng rng(4);
+  double cycles = 0.0;
+  for (size_t i = 0; i < cfg.history; ++i) {
+    const features::FeatureVector f = CorrelatedFeatures(rng, &cycles);
+    predictor.Observe(f, cycles);
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(predict::SelectFeatures(x, y, 0.6));
+    const features::FeatureVector f = CorrelatedFeatures(rng, &cycles);
+    predictor.Observe(f, cycles);
+    benchmark::DoNotOptimize(predictor.Predict(f));
+  }
+}
+BENCHMARK(BM_MlrFitAndPredictAllFeatures)->Arg(60);
+
+// FCBF alone, over the centred co-moments of a 60-row random window (the
+// moments are what MlrPredictor keeps; building them is outside the loop).
+void BM_FcbfSelection(benchmark::State& state) {
+  const size_t n = 60;
+  constexpr size_t kDims = features::kNumFeatures + 1;  // features, then the response
+  std::vector<std::array<double, kDims>> rows(n);
+  util::Rng rng(5);
+  for (auto& row : rows) {
+    for (size_t c = 0; c + 1 < kDims; ++c) {
+      row[c] = rng.NextDouble() * 100.0;
+    }
+    row[kDims - 1] = row[0] * 40.0 + rng.NextGaussian();
+  }
+  std::array<double, kDims> mean{};
+  for (const auto& row : rows) {
+    for (size_t c = 0; c < kDims; ++c) {
+      mean[c] += row[c] / static_cast<double>(n);
+    }
+  }
+  predict::SymmetricMatrix comoments(kDims);
+  for (const auto& row : rows) {
+    for (size_t i = 0; i < kDims; ++i) {
+      for (size_t j = i; j < kDims; ++j) {
+        comoments.At(i, j) += (row[i] - mean[i]) * (row[j] - mean[j]);
+      }
+    }
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(predict::SelectFeatures(comoments, 0.6));
   }
 }
 BENCHMARK(BM_FcbfSelection);

@@ -1,5 +1,6 @@
 #include "src/api/sinks.h"
 
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -9,6 +10,10 @@
 namespace shedmon::api {
 
 namespace {
+
+// Enough significant digits that every double parses back bit-exactly, so a
+// per-bin log tells apart runs that differ in the last bits of a cycle count.
+constexpr int kRoundTripDigits = std::numeric_limits<double>::max_digits10;
 
 std::ofstream OpenOrThrow(const std::string& path) {
   std::ofstream file(path, std::ios::out | std::ios::trunc);
@@ -82,6 +87,7 @@ CsvBinSink::CsvBinSink(const std::string& path) : ResilientSinkBase(path, "csv")
 
 void CsvBinSink::OnBin(const core::BinLog& log, const BinStats& stats) {
   std::ostringstream row;
+  row.precision(kRoundTripDigits);
   if (!header_written_) {
     row << "bin,start_us,num_queries,packets_in,packets_dropped,packets_unsampled,"
            "batch_dropped,overload,predicted_cycles,avail_cycles,query_cycles,ps_cycles,"
@@ -107,6 +113,7 @@ JsonlBinSink::JsonlBinSink(const std::string& path) : ResilientSinkBase(path, "j
 
 void JsonlBinSink::OnBin(const core::BinLog& log, const BinStats& stats) {
   std::ostringstream buf;
+  buf.precision(kRoundTripDigits);
   std::ostream& out = buf;
   out << "{\"bin\":" << stats.bin_index << ",\"start_us\":" << log.start_us
       << ",\"packets_in\":" << log.packets_in

@@ -23,7 +23,8 @@ inline constexpr std::string_view kSnapshotMagic = "SHEDSNAP";
 // v2 appends an FNV-1a checksum trailer so a torn or bit-flipped snapshot is
 // rejected with a clear SnapshotError instead of silently restoring garbage.
 // v3 drops the per-query shard bound from the serialized system config.
-inline constexpr uint32_t kSnapshotVersion = 3;
+// v4 adds each MLR predictor's running window moments and recompute phase.
+inline constexpr uint32_t kSnapshotVersion = 4;
 inline constexpr uint64_t kSnapshotFnvOffset = 0xcbf29ce484222325ULL;
 inline constexpr uint64_t kSnapshotFnvPrime = 0x100000001b3ULL;
 

@@ -2,116 +2,90 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 #include "src/util/stats.h"
 
 namespace shedmon::predict {
 
-FcbfResult SelectFeatures(const Matrix& x, const std::vector<double>& y, double threshold) {
+void RankByRelevance(const std::vector<double>& relevance, std::vector<int>& columns) {
+  const auto rel = [&](int c) { return relevance[static_cast<size_t>(c)]; };
+  // Insertion sort: a few dozen columns at most.
+  for (size_t i = 1; i < columns.size(); ++i) {
+    const int c = columns[i];
+    size_t j = i;
+    for (; j > 0 && rel(columns[j - 1]) < rel(c); --j) {
+      columns[j] = columns[j - 1];
+    }
+    columns[j] = c;
+  }
+  // Runs that tie with their leader go in column order, so rounding cannot
+  // decide which of two exact copies leads.
+  for (auto lead = columns.begin(); lead != columns.end();) {
+    auto end = lead + 1;
+    while (end != columns.end() && rel(*lead) - rel(*end) <= kFcbfTie) {
+      ++end;
+    }
+    std::sort(lead, end);
+    lead = end;
+  }
+}
+
+FcbfResult SelectFeatures(const SymmetricMatrix& comoments, double threshold) {
   FcbfResult result;
-  const size_t p = x.cols();
-  const size_t n = x.rows();
-  result.relevance.assign(p, 0.0);
-  if (p == 0 || n < 2) {
+  if (comoments.size() < 2) {
     return result;
   }
-  if (y.size() != n) {
-    throw std::invalid_argument("SelectFeatures: response length must equal the row count");
-  }
-
-  // Centre the window once. Every correlation below is then a column sum over
-  // the centred matrix, accumulated in row order with the same operations
-  // util::PearsonCorrelation performs, so each value is bit-identical to the
-  // pairwise call it replaces.
-  std::vector<double> mean(p, 0.0);
-  double my = 0.0;
-  for (size_t r = 0; r < n; ++r) {
-    const double* xr = x.Row(r);
-    for (size_t c = 0; c < p; ++c) {
-      mean[c] += xr[c];
-    }
-    my += y[r];
-  }
+  const size_t p = comoments.size() - 1;  // the last index is the response
+  result.relevance.assign(p, 0.0);
   for (size_t c = 0; c < p; ++c) {
-    mean[c] /= static_cast<double>(n);
-  }
-  my /= static_cast<double>(n);
-  Matrix d(n, p);
-  std::vector<double> sxx(p, 0.0);
-  std::vector<double> sxy(p, 0.0);
-  double syy = 0.0;
-  for (size_t r = 0; r < n; ++r) {
-    const double* xr = x.Row(r);
-    double* dr = d.Row(r);
-    const double dy = y[r] - my;
-    for (size_t c = 0; c < p; ++c) {
-      const double v = xr[c] - mean[c];
-      dr[c] = v;
-      sxy[c] += v * dy;
-      sxx[c] += v * v;
-    }
-    syy += dy * dy;
-  }
-  for (size_t c = 0; c < p; ++c) {
-    result.relevance[c] = std::abs(util::CorrelationFromSums(sxy[c], sxx[c], syy));
+    result.relevance[c] = std::abs(util::CorrelationFromSums(
+        comoments.At(c, p), comoments.At(c, c), comoments.At(p, p)));
   }
 
   // Phase 1: relevance filtering, ranked by decreasing |corr(X_i, y)|.
-  std::vector<int> ranked;
-  for (size_t c = 0; c < p; ++c) {
-    if (result.relevance[c] >= threshold && result.relevance[c] > 0.0) {
-      ranked.push_back(static_cast<int>(c));
+  const auto rank_above = [&](double floor) {
+    std::vector<int> ranked;
+    ranked.reserve(p);
+    for (size_t c = 0; c < p; ++c) {
+      if (result.relevance[c] >= floor && result.relevance[c] > 0.0) {
+        ranked.push_back(static_cast<int>(c));
+      }
     }
-  }
-  std::sort(ranked.begin(), ranked.end(), [&](int a, int b) {
-    return result.relevance[static_cast<size_t>(a)] > result.relevance[static_cast<size_t>(b)];
-  });
-
+    RankByRelevance(result.relevance, ranked);
+    return ranked;
+  };
+  const std::vector<int> ranked = rank_above(threshold);
   if (ranked.empty()) {
     // Fall back to the best single predictor so MLR degrades to SLR rather
     // than to an intercept-only model.
-    const auto best = std::max_element(result.relevance.begin(), result.relevance.end());
-    if (*best > 0.0) {
-      result.selected.push_back(static_cast<int>(best - result.relevance.begin()));
+    const std::vector<int> any = rank_above(0.0);
+    if (!any.empty()) {
+      result.selected.push_back(any.front());
     }
     return result;
   }
 
-  // Phase 2: redundancy elimination. Row i's correlations with every
-  // lower-ranked survivor are independent per-column sums, one pass over the
-  // window.
+  // Phase 2: redundancy elimination. Survivors have positive variance, so
+  // each pairwise correlation is the co-moment times two inverse deviations.
   const size_t k = ranked.size();
-  Matrix dk(n, k);  // the centred window's ranked columns, in rank order
-  for (size_t r = 0; r < n; ++r) {
-    const double* dr = d.Row(r);
-    double* dkr = dk.Row(r);
-    for (size_t j = 0; j < k; ++j) {
-      dkr[j] = dr[static_cast<size_t>(ranked[j])];
-    }
+  std::vector<double> inv_sd(k);
+  for (size_t i = 0; i < k; ++i) {
+    const auto fi = static_cast<size_t>(ranked[i]);
+    inv_sd[i] = 1.0 / std::sqrt(comoments.At(fi, fi));
   }
   std::vector<bool> removed(k, false);
-  std::vector<double> between(k);
   for (size_t i = 0; i < k; ++i) {
     if (removed[i]) {
       continue;
     }
     const auto fi = static_cast<size_t>(ranked[i]);
-    std::fill(between.begin(), between.end(), 0.0);
-    for (size_t r = 0; r < n; ++r) {
-      const double* dkr = dk.Row(r);
-      const double di = dkr[i];
-      for (size_t j = i + 1; j < k; ++j) {
-        between[j] += di * dkr[j];
-      }
-    }
     for (size_t j = i + 1; j < k; ++j) {
+      const auto fj = static_cast<size_t>(ranked[j]);
       if (removed[j]) {
         continue;
       }
-      const auto fj = static_cast<size_t>(ranked[j]);
-      const double corr = util::CorrelationFromSums(between[j], sxx[fi], sxx[fj]);
-      if (std::abs(corr) >= result.relevance[fj]) {
+      const double corr = comoments.At(fi, fj) * inv_sd[i] * inv_sd[j];
+      if (std::abs(corr) >= result.relevance[fj] - kFcbfTie) {
         removed[j] = true;
       }
     }

@@ -7,9 +7,9 @@
 namespace shedmon::predict {
 
 struct FcbfResult {
-  // Indices of selected columns of X, ordered by decreasing relevance.
+  // Indices of selected predictors, ordered by decreasing relevance.
   std::vector<int> selected;
-  // |corr(X_i, y)| for every column (0 for constant columns).
+  // |corr(X_i, y)| for every predictor (0 for constant columns).
   std::vector<double> relevance;
 };
 
@@ -20,9 +20,29 @@ struct FcbfResult {
 // any predictor whose correlation with a better-ranked one exceeds its own
 // correlation with the response (redundancy). If nothing clears the
 // threshold, the single most relevant predictor is kept so the regression
-// never runs empty. `y` holds one response per row of `x`
-// (std::invalid_argument otherwise). Every correlation is bit-identical to
-// util::PearsonCorrelation over the materialized columns.
-FcbfResult SelectFeatures(const Matrix& x, const std::vector<double>& y, double threshold);
+// never runs empty.
+//
+// Correlations within kFcbfTie of each other are ties: tied predictors rank
+// in column order, and a predictor tied with its correlation to a
+// better-ranked one is redundant. Exact affine copies of one column (common
+// among traffic features, e.g. packets and a repeat count whose unique part
+// is constant) then resolve the same way whatever the rounding of the sums.
+//
+// The input is the window's centred co-moment matrix, not the window itself:
+// `comoments` is the (p+1)×(p+1) matrix of sums Σ(v_i − v̄_i)(v_j − v̄_j)
+// over the window rows, whose first p entries are the candidate predictors
+// and whose last is the response. Every correlation is then one entry
+// scaled by two diagonal ones, so selection costs O(p²) however long the
+// window is. A column that is constant over the window must have an
+// all-zero row and column: its relevance is then exactly 0. Relevance is
+// util::CorrelationFromSums of the entries; the redundancy correlations use
+// precomputed inverse deviations and may differ from it in the last bits,
+// which the tie tolerance absorbs.
+FcbfResult SelectFeatures(const SymmetricMatrix& comoments, double threshold);
+
+inline constexpr double kFcbfTie = 1e-10;
+
+// Orders `columns` by decreasing relevance, ties (kFcbfTie) in column order.
+void RankByRelevance(const std::vector<double>& relevance, std::vector<int>& columns);
 
 }  // namespace shedmon::predict

@@ -1,61 +1,33 @@
 #include "src/predict/linalg.h"
 
 #include <cmath>
-#include <stdexcept>
 
 namespace shedmon::predict {
 
-LeastSquaresResult SolveLeastSquaresSvd(const Matrix& a, const std::vector<double>& y,
-                                        double rcond) {
-  LeastSquaresResult result;
-  const size_t p = a.cols();
-  if (p == 0 || a.rows() == 0) {
-    return result;
-  }
-  if (y.size() != a.rows()) {
-    throw std::invalid_argument("SolveLeastSquaresSvd: y size mismatch");
-  }
-
-  // Work on W = A padded with zero rows up to max(rows, cols); padding does
-  // not change the normal equations, and one-sided Jacobi wants n >= p.
-  const size_t n = a.rows() < p ? p : a.rows();
-  std::vector<double> w(n * p, 0.0);
-  for (size_t r = 0; r < a.rows(); ++r) {
-    for (size_t c = 0; c < p; ++c) {
-      w[r * p + c] = a.At(r, c);
-    }
-  }
-  std::vector<double> yy(n, 0.0);
-  for (size_t r = 0; r < a.rows(); ++r) {
-    yy[r] = y[r];
-  }
-
-  // V accumulates the right singular vectors (p x p, row-major).
-  std::vector<double> v(p * p, 0.0);
+EigenDecomposition SymmetricEigen(const SymmetricMatrix& a) {
+  const size_t p = a.size();
+  Matrix m(p, p);
+  EigenDecomposition result{std::vector<double>(p, 0.0), Matrix(p, p)};
   for (size_t i = 0; i < p; ++i) {
-    v[i * p + i] = 1.0;
+    result.vectors.At(i, i) = 1.0;
+    for (size_t j = i; j < p; ++j) {
+      m.At(i, j) = a.At(i, j);
+      m.At(j, i) = a.At(i, j);
+    }
   }
 
-  auto col_dot = [&](size_t i, size_t j) {
-    double s = 0.0;
-    for (size_t r = 0; r < n; ++r) {
-      s += w[r * p + i] * w[r * p + j];
-    }
-    return s;
-  };
-
-  // One-sided Jacobi: rotate column pairs of W until all pairs are
-  // (numerically) orthogonal; the same rotations applied to V give A = U S V^T.
-  constexpr int kMaxSweeps = 40;
-  constexpr double kOrthTol = 1e-13;
+  // Each rotation M <- JᵀMJ zeroes one off-diagonal pair; sweeps repeat until
+  // every pair is negligible next to its diagonal entries. V accumulates J.
+  constexpr int kMaxSweeps = 50;
+  constexpr double kOffTol = 1e-15;
   for (int sweep = 0; sweep < kMaxSweeps; ++sweep) {
     bool rotated = false;
     for (size_t i = 0; i + 1 < p; ++i) {
       for (size_t j = i + 1; j < p; ++j) {
-        const double alpha = col_dot(i, i);
-        const double beta = col_dot(j, j);
-        const double gamma = col_dot(i, j);
-        if (std::abs(gamma) <= kOrthTol * std::sqrt(alpha * beta) || gamma == 0.0) {
+        const double alpha = m.At(i, i);
+        const double beta = m.At(j, j);
+        const double gamma = m.At(i, j);
+        if (gamma == 0.0 || std::abs(gamma) <= kOffTol * std::sqrt(std::abs(alpha * beta))) {
           continue;
         }
         rotated = true;
@@ -64,17 +36,23 @@ LeastSquaresResult SolveLeastSquaresSvd(const Matrix& a, const std::vector<doubl
                          (std::abs(zeta) + std::sqrt(1.0 + zeta * zeta));
         const double c = 1.0 / std::sqrt(1.0 + t * t);
         const double s = c * t;
-        for (size_t r = 0; r < n; ++r) {
-          const double wi = w[r * p + i];
-          const double wj = w[r * p + j];
-          w[r * p + i] = c * wi - s * wj;
-          w[r * p + j] = s * wi + c * wj;
+        for (size_t k = 0; k < p; ++k) {
+          const double mi = m.At(k, i);
+          const double mj = m.At(k, j);
+          m.At(k, i) = c * mi - s * mj;
+          m.At(k, j) = s * mi + c * mj;
         }
-        for (size_t r = 0; r < p; ++r) {
-          const double vi = v[r * p + i];
-          const double vj = v[r * p + j];
-          v[r * p + i] = c * vi - s * vj;
-          v[r * p + j] = s * vi + c * vj;
+        for (size_t k = 0; k < p; ++k) {
+          const double mi = m.At(i, k);
+          const double mj = m.At(j, k);
+          m.At(i, k) = c * mi - s * mj;
+          m.At(j, k) = s * mi + c * mj;
+        }
+        for (size_t k = 0; k < p; ++k) {
+          const double vi = result.vectors.At(k, i);
+          const double vj = result.vectors.At(k, j);
+          result.vectors.At(k, i) = c * vi - s * vj;
+          result.vectors.At(k, j) = s * vi + c * vj;
         }
       }
     }
@@ -82,34 +60,9 @@ LeastSquaresResult SolveLeastSquaresSvd(const Matrix& a, const std::vector<doubl
       break;
     }
   }
-
-  // Singular values are the column norms of the rotated W.
-  std::vector<double> sv(p, 0.0);
-  double sv_max = 0.0;
   for (size_t i = 0; i < p; ++i) {
-    sv[i] = std::sqrt(col_dot(i, i));
-    sv_max = std::max(sv_max, sv[i]);
+    result.values[i] = m.At(i, i);
   }
-  const double cutoff = sv_max * rcond;
-
-  // x = V * diag(1/sv) * U^T * y, truncating negligible singular values.
-  // U^T y for column i equals (W_i . y) / sv_i.
-  result.coef.assign(p, 0.0);
-  for (size_t i = 0; i < p; ++i) {
-    if (sv[i] <= cutoff || sv[i] == 0.0) {
-      continue;
-    }
-    ++result.rank;
-    double uy = 0.0;
-    for (size_t r = 0; r < n; ++r) {
-      uy += w[r * p + i] * yy[r];
-    }
-    const double scale = uy / (sv[i] * sv[i]);
-    for (size_t c = 0; c < p; ++c) {
-      result.coef[c] += v[c * p + i] * scale;
-    }
-  }
-  result.ok = result.rank > 0;
   return result;
 }
 

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 namespace shedmon::predict {
@@ -26,18 +27,43 @@ class Matrix {
   std::vector<double> data_;
 };
 
-struct LeastSquaresResult {
-  std::vector<double> coef;  // size = a.cols()
-  int rank = 0;
-  bool ok = false;
+// Symmetric matrix stored as its packed upper triangle, row by row; (i, j)
+// and (j, i) are one element.
+class SymmetricMatrix {
+ public:
+  SymmetricMatrix() = default;
+  explicit SymmetricMatrix(size_t n) : n_(n), data_(n * (n + 1) / 2, 0.0) {}
+
+  double& At(size_t i, size_t j) { return data_[Index(i, j)]; }
+  double At(size_t i, size_t j) const { return data_[Index(i, j)]; }
+
+  size_t size() const { return n_; }
+  // (0,0), (0,1), ..., (0,n-1), (1,1), ..., (n-1,n-1).
+  const std::vector<double>& packed() const { return data_; }
+  std::vector<double>& packed() { return data_; }
+
+ private:
+  size_t Index(size_t i, size_t j) const {
+    if (i > j) {
+      std::swap(i, j);
+    }
+    return i * (2 * n_ - i - 1) / 2 + j;
+  }
+
+  size_t n_ = 0;
+  std::vector<double> data_;
 };
 
-// Solves min ||A x - y||_2 through the singular value decomposition, the
-// paper's choice (§3.2.2) because it returns the best approximation even for
-// rank-deficient or under-determined systems (e.g. collinear features during
-// a SYN flood). Implemented with one-sided Jacobi rotations; singular values
-// below rcond * max_sv are truncated, yielding the minimum-norm solution.
-LeastSquaresResult SolveLeastSquaresSvd(const Matrix& a, const std::vector<double>& y,
-                                        double rcond = 1e-10);
+struct EigenDecomposition {
+  std::vector<double> values;  // unordered; values[k] belongs to column k of vectors
+  Matrix vectors;              // orthonormal eigenvectors, one per column
+};
+
+// Eigendecomposition of a small symmetric matrix by cyclic Jacobi rotations.
+// MLR solves its normal equations with it (§3.2.2): truncating eigenvalues
+// of AᵀA at rcond²·λmax gives the same minimum-norm solution as truncating
+// singular values of A at rcond·σmax, for rank-deficient systems (collinear
+// features during a SYN flood) included.
+EigenDecomposition SymmetricEigen(const SymmetricMatrix& a);
 
 }  // namespace shedmon::predict

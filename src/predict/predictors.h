@@ -1,5 +1,7 @@
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <deque>
 #include <map>
 #include <memory>
@@ -76,12 +78,20 @@ class SlrPredictor : public CostPredictor {
 
 // §3.2.2-3.2.3: FCBF feature selection + multiple linear regression with an
 // intercept over a sliding window of n batches, refit on every observation.
+//
+// The refit never revisits the window. Each observation updates the window
+// mean and centred co-moments of the rows v = (features, cycles) with one
+// rank-1 add and one rank-1 remove; FCBF reads its correlations off the
+// co-moments and the OLS over the p selected columns is solved from the
+// standardized p×p normal equations, so a refit costs O(F²) whatever the
+// history length.
 class MlrPredictor : public CostPredictor {
  public:
   struct Config {
     size_t history = 60;          // n observations (6 s of 100 ms batches)
     double fcbf_threshold = 0.6;  // relevance cutoff (Fig. 3.5 sweet spot)
-    // Relative singular-value cutoff of the (standardized) design matrix.
+    // Relative singular-value cutoff of the (standardized) design matrix,
+    // applied as rcond² to the eigenvalues of its normal equations.
     // Traffic features are strongly collinear (e.g. packets vs repeated
     // counts); truncating weak directions keeps the out-of-sample variance
     // bounded — the multicollinearity concern of §3.2.3 handled numerically.
@@ -104,32 +114,49 @@ class MlrPredictor : public CostPredictor {
 
   // Features used by the most recent fit (after FCBF), for Table 3.2.
   const std::vector<int>& last_selected() const { return last_selected_; }
-  // How often each feature has been selected across the run.
-  const std::map<int, size_t>& selection_counts() const { return selection_counts_; }
+  // How often each feature has been selected across the run (features never
+  // selected are absent).
+  std::map<int, size_t> selection_counts() const;
 
-  // Replaces the most recent observation's response value; the system uses
-  // this to scrub context-switch-corrupted measurements (§3.2.4).
-  void AmendLastObservation(double cycles);
-
-  // Saves the observation window plus scrub/selection bookkeeping; the fit
-  // itself (coefficients, selected features) is recomputed deterministically
-  // from the window on load, then the selection counts are reinstated so the
-  // refit's own increments don't inflate them past the saved run's.
+  // Saves the observation window, its running moments and their recompute
+  // phase, plus scrub/selection bookkeeping. The fit itself (coefficients,
+  // selected features) is recomputed deterministically from the moments on
+  // load, then the selection counts are reinstated so the refit's own
+  // increments don't inflate them past the saved run's.
   void SaveState(obs::SnapshotWriter& w) const override;
   void LoadState(obs::SnapshotReader& r) override;
 
  private:
+  static constexpr size_t kDims = features::kNumFeatures + 1;  // features, then cycles
+  using Row = std::array<double, kDims>;
+
+  // Adds `added` to the moments and removes `removed` (if any), with the
+  // window at its new size.
+  void Slide(const Row& added, const Row* removed);
+  // Recomputes the moments exactly from the window; run every `history`
+  // observations so rounding in the updates cannot accumulate.
+  void Rebuild();
+  void PinConstantColumns(bool after_rebuild);
   void Refit();
 
   Config config_;
-  std::deque<std::pair<features::FeatureVector, double>> window_;
+  std::deque<Row> window_;
+  // Mean of the window rows and their centred co-moments
+  // Σ(v_i − v̄_i)(v_j − v̄_j), kept by sliding Welford updates.
+  Row mean_{};
+  SymmetricMatrix comoments_{kDims};
+  // Per column, how many of the newest rows share the newest value; a run
+  // that covers the window means a constant column.
+  std::array<uint64_t, kDims> same_run_{};
+  size_t since_rebuild_ = 0;
+
   std::vector<int> last_selected_;
   std::vector<double> coef_;      // intercept followed by per-selected weights
   std::vector<double> col_mean_;  // standardization of the selected columns
   std::vector<double> col_scale_;
   int consecutive_outliers_ = 0;
   bool model_valid_ = false;
-  std::map<int, size_t> selection_counts_;
+  std::array<size_t, features::kNumFeatures> selection_counts_{};
 };
 
 enum class PredictorKind { kMlr, kSlr, kEwma };

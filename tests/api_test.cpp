@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <iterator>
 #include <memory>
@@ -633,6 +634,70 @@ TEST(PipelineSinks, JsonlSinkWritesOneObjectPerBinWithPerQueryArrays) {
   EXPECT_EQ(text.find('\t'), std::string::npos);
 }
 
+// The number after `"key":` in a JSONL row.
+double JsonNumber(const std::string& line, const std::string& key) {
+  const size_t at = line.find("\"" + key + "\":");
+  EXPECT_NE(at, std::string::npos) << key;
+  return std::strtod(line.c_str() + at + key.size() + 3, nullptr);
+}
+
+// Field `column` of a CSV row, as a number.
+double CsvField(const std::string& line, size_t column) {
+  size_t start = 0;
+  for (size_t c = 0; c < column; ++c) {
+    start = line.find(',', start) + 1;
+  }
+  return std::strtod(line.c_str() + start, nullptr);
+}
+
+// Both sinks print doubles with max_digits10 significant digits, so every
+// cycle count in a per-bin log parses back to the BinLog's exact value.
+TEST(PipelineSinks, CsvAndJsonlRoundTripCycleCountsExactly) {
+  const std::vector<std::string> names = {"counter", "flows"};
+  std::ostringstream csv;
+  std::ostringstream jsonl;
+  auto pipeline = BuilderFor(names, core::ShedderKind::kPredictive,
+                             shed::StrategyKind::kMmfsPkt, false, 0)
+                      .BuildUnique();
+  for (const std::string& name : names) {
+    pipeline->AddQuery(name);
+  }
+  pipeline->AddObserver(std::make_unique<api::CsvBinSink>(csv));
+  pipeline->AddObserver(std::make_unique<api::JsonlBinSink>(jsonl));
+  pipeline->Push(SharedTrace());
+  pipeline->Finish();
+  const std::vector<core::BinLog>& log = pipeline->log();
+  ASSERT_GT(log.size(), 10u);
+
+  std::istringstream csv_in(csv.str());
+  std::string header;
+  std::getline(csv_in, header);
+  const auto column = [&header](const std::string& name) {
+    const size_t at = ("," + header + ",").find("," + name + ",");
+    EXPECT_NE(at, std::string::npos) << name;
+    return static_cast<size_t>(std::count(header.begin(), header.begin() + at, ','));
+  };
+  const size_t avail_col = column("avail_cycles");
+  const size_t predicted_col = column("predicted_cycles");
+  std::istringstream jsonl_in(jsonl.str());
+  size_t rounded = 0;  // bins whose values the old 6-digit output lost
+  for (size_t b = 0; b < log.size(); ++b) {
+    SCOPED_TRACE("bin " + std::to_string(b));
+    std::string csv_row;
+    std::string json_row;
+    ASSERT_TRUE(std::getline(csv_in, csv_row));
+    ASSERT_TRUE(std::getline(jsonl_in, json_row));
+    EXPECT_EQ(CsvField(csv_row, avail_col), log[b].avail_cycles);
+    EXPECT_EQ(CsvField(csv_row, predicted_col), log[b].predicted_cycles);
+    EXPECT_EQ(JsonNumber(json_row, "avail_cycles"), log[b].avail_cycles);
+    EXPECT_EQ(JsonNumber(json_row, "predicted_cycles"), log[b].predicted_cycles);
+    std::ostringstream six;
+    six << log[b].predicted_cycles;
+    rounded += std::strtod(six.str().c_str(), nullptr) != log[b].predicted_cycles ? 1 : 0;
+  }
+  EXPECT_GT(rounded, 0u);  // the check has teeth: 6 digits would have failed
+}
+
 TEST(PipelineSinks, FileSinkThrowsOnUnwritablePath) {
   EXPECT_THROW(api::CsvBinSink("/nonexistent-dir/x.csv"), std::runtime_error);
   EXPECT_THROW(api::JsonlBinSink("/nonexistent-dir/x.jsonl"), std::runtime_error);
@@ -1013,6 +1078,52 @@ TEST(PipelineSnapshot, RestoreThenReplayReproducesTheUninterruptedRun) {
     EXPECT_EQ(full->total_packets(), restored->total_packets());
     EXPECT_EQ(full->total_dropped(), restored->total_dropped());
   }
+}
+
+// The same bar once every query's 60-observation MLR window has turned over
+// more than 2.5 times and its running moments sit mid-way between two exact
+// rebuilds: the moments and their recompute phase are part of the snapshot.
+TEST(PipelineSnapshot, RestoreAfterWindowTurnoversReproducesTheUninterruptedRun) {
+  static const trace::Trace trace = [] {
+    trace::TraceSpec spec = trace::CescaII();
+    spec.duration_s = 22.0;
+    return trace::TraceGenerator(spec).Generate();
+  }();
+  constexpr uint64_t kCutUs = 17'000'000;  // bin 170: 2.83 windows in
+  const std::vector<std::string> names = {"counter", "flows", "top-k"};
+  const api::PipelineBuilder builder = BuilderFor(names, core::ShedderKind::kPredictive,
+                                                  shed::StrategyKind::kMmfsPkt, false, 0);
+  auto full = builder.BuildUnique();
+  auto first = builder.BuildUnique();
+  for (const std::string& name : names) {
+    full->AddQuery(name);
+    first->AddQuery(name);
+  }
+  full->Push(trace);
+  full->Finish();
+  for (const net::PacketRecord& packet : trace.packets) {
+    if (packet.ts_us >= kCutUs) {
+      break;
+    }
+    first->Push(net::Packet::View(packet));
+  }
+  first->AdvanceTime(kCutUs);
+  std::stringstream snapshot;
+  first->Snapshot(snapshot);
+
+  auto restored = api::PipelineBuilder::Restore(snapshot);
+  for (const net::PacketRecord& packet : trace.packets) {
+    if (packet.ts_us >= kCutUs) {
+      restored->Push(net::Packet::View(packet));
+    }
+  }
+  restored->Finish();
+
+  const auto& full_log = full->log();
+  ASSERT_EQ(full_log.size(), 170 + restored->log().size());
+  ASSERT_GT(restored->log().size(), 30u);
+  const std::vector<core::BinLog> tail(full_log.begin() + 170, full_log.end());
+  ExpectBinLogsIdentical(tail, restored->log());
 }
 
 TEST(PipelineSnapshot, SnapshotRestoreSnapshotIsByteIdentical) {

@@ -34,6 +34,8 @@ HOT_PATH = (
     "BM_MultiResBitmapInsert",
     "BM_FeatureExtraction",
     "BM_ReExtraction",
+    "BM_MlrFitAndPredict",
+    "BM_MlrFitAndPredictAllFeatures",
     "BM_PacketSampler",
     "BM_FlowSampler",
     "BM_BoyerMoore",

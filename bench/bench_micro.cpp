@@ -261,7 +261,7 @@ BENCHMARK(BM_MlrFitAndPredictAllFeatures)->Arg(60);
 
 // FCBF alone, over the centred co-moments of a 60-row random window (the
 // moments are what MlrPredictor keeps; building them is outside the loop).
-void BM_FcbfSelection(benchmark::State& state) {
+void BM_FcbfSelectionFromMoments(benchmark::State& state) {
   const size_t n = 60;
   constexpr size_t kDims = features::kNumFeatures + 1;  // features, then the response
   std::vector<std::array<double, kDims>> rows(n);
@@ -290,7 +290,7 @@ void BM_FcbfSelection(benchmark::State& state) {
     benchmark::DoNotOptimize(predict::SelectFeatures(comoments, 0.6));
   }
 }
-BENCHMARK(BM_FcbfSelection);
+BENCHMARK(BM_FcbfSelectionFromMoments);
 
 void BM_PacketSampler(benchmark::State& state) {
   shed::PacketSampler sampler(6);

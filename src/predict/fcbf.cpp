@@ -7,29 +7,6 @@
 
 namespace shedmon::predict {
 
-void RankByRelevance(const std::vector<double>& relevance, std::vector<int>& columns) {
-  const auto rel = [&](int c) { return relevance[static_cast<size_t>(c)]; };
-  // Insertion sort: a few dozen columns at most.
-  for (size_t i = 1; i < columns.size(); ++i) {
-    const int c = columns[i];
-    size_t j = i;
-    for (; j > 0 && rel(columns[j - 1]) < rel(c); --j) {
-      columns[j] = columns[j - 1];
-    }
-    columns[j] = c;
-  }
-  // Runs that tie with their leader go in column order, so rounding cannot
-  // decide which of two exact copies leads.
-  for (auto lead = columns.begin(); lead != columns.end();) {
-    auto end = lead + 1;
-    while (end != columns.end() && rel(*lead) - rel(*end) <= kFcbfTie) {
-      ++end;
-    }
-    std::sort(lead, end);
-    lead = end;
-  }
-}
-
 FcbfResult SelectFeatures(const SymmetricMatrix& comoments, double threshold) {
   FcbfResult result;
   if (comoments.size() < 2) {
@@ -43,36 +20,29 @@ FcbfResult SelectFeatures(const SymmetricMatrix& comoments, double threshold) {
   }
 
   // Phase 1: relevance filtering, ranked by decreasing |corr(X_i, y)|.
-  const auto rank_above = [&](double floor) {
-    std::vector<int> ranked;
-    ranked.reserve(p);
-    for (size_t c = 0; c < p; ++c) {
-      if (result.relevance[c] >= floor && result.relevance[c] > 0.0) {
-        ranked.push_back(static_cast<int>(c));
-      }
+  std::vector<int> ranked;
+  ranked.reserve(p);
+  for (size_t c = 0; c < p; ++c) {
+    if (result.relevance[c] >= threshold && result.relevance[c] > 0.0) {
+      ranked.push_back(static_cast<int>(c));
     }
-    RankByRelevance(result.relevance, ranked);
-    return ranked;
-  };
-  const std::vector<int> ranked = rank_above(threshold);
+  }
+  std::sort(ranked.begin(), ranked.end(), [&](int a, int b) {
+    return result.relevance[static_cast<size_t>(a)] > result.relevance[static_cast<size_t>(b)];
+  });
+
   if (ranked.empty()) {
     // Fall back to the best single predictor so MLR degrades to SLR rather
     // than to an intercept-only model.
-    const std::vector<int> any = rank_above(0.0);
-    if (!any.empty()) {
-      result.selected.push_back(any.front());
+    const auto best = std::max_element(result.relevance.begin(), result.relevance.end());
+    if (*best > 0.0) {
+      result.selected.push_back(static_cast<int>(best - result.relevance.begin()));
     }
     return result;
   }
 
-  // Phase 2: redundancy elimination. Survivors have positive variance, so
-  // each pairwise correlation is the co-moment times two inverse deviations.
+  // Phase 2: redundancy elimination.
   const size_t k = ranked.size();
-  std::vector<double> inv_sd(k);
-  for (size_t i = 0; i < k; ++i) {
-    const auto fi = static_cast<size_t>(ranked[i]);
-    inv_sd[i] = 1.0 / std::sqrt(comoments.At(fi, fi));
-  }
   std::vector<bool> removed(k, false);
   for (size_t i = 0; i < k; ++i) {
     if (removed[i]) {
@@ -80,12 +50,13 @@ FcbfResult SelectFeatures(const SymmetricMatrix& comoments, double threshold) {
     }
     const auto fi = static_cast<size_t>(ranked[i]);
     for (size_t j = i + 1; j < k; ++j) {
-      const auto fj = static_cast<size_t>(ranked[j]);
       if (removed[j]) {
         continue;
       }
-      const double corr = comoments.At(fi, fj) * inv_sd[i] * inv_sd[j];
-      if (std::abs(corr) >= result.relevance[fj] - kFcbfTie) {
+      const auto fj = static_cast<size_t>(ranked[j]);
+      const double corr = util::CorrelationFromSums(comoments.At(fi, fj), comoments.At(fi, fi),
+                                                    comoments.At(fj, fj));
+      if (std::abs(corr) >= result.relevance[fj]) {
         removed[j] = true;
       }
     }

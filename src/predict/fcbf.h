@@ -22,27 +22,14 @@ struct FcbfResult {
 // threshold, the single most relevant predictor is kept so the regression
 // never runs empty.
 //
-// Correlations within kFcbfTie of each other are ties: tied predictors rank
-// in column order, and a predictor tied with its correlation to a
-// better-ranked one is redundant. Exact affine copies of one column (common
-// among traffic features, e.g. packets and a repeat count whose unique part
-// is constant) then resolve the same way whatever the rounding of the sums.
-//
 // The input is the window's centred co-moment matrix, not the window itself:
 // `comoments` is the (p+1)×(p+1) matrix of sums Σ(v_i − v̄_i)(v_j − v̄_j)
 // over the window rows, whose first p entries are the candidate predictors
 // and whose last is the response. Every correlation is then one entry
 // scaled by two diagonal ones, so selection costs O(p²) however long the
 // window is. A column that is constant over the window must have an
-// all-zero row and column: its relevance is then exactly 0. Relevance is
-// util::CorrelationFromSums of the entries; the redundancy correlations use
-// precomputed inverse deviations and may differ from it in the last bits,
-// which the tie tolerance absorbs.
+// all-zero row and column: its relevance is then exactly 0. Every
+// correlation is util::CorrelationFromSums of the entries.
 FcbfResult SelectFeatures(const SymmetricMatrix& comoments, double threshold);
-
-inline constexpr double kFcbfTie = 1e-10;
-
-// Orders `columns` by decreasing relevance, ties (kFcbfTie) in column order.
-void RankByRelevance(const std::vector<double>& relevance, std::vector<int>& columns);
 
 }  // namespace shedmon::predict

@@ -92,6 +92,7 @@ void MlrPredictor::Slide(const Row& added, const Row* removed) {
       mean_[i] += (a[i] - b[i]) * inv_n;
       a2[i] = added[i] - mean_[i];
       b2[i] = (*removed)[i] - mean_[i];
+      cancelled_[i] += std::abs(b[i] * b2[i]);
     }
   } else {
     for (size_t i = 0; i < kDims; ++i) {
@@ -107,6 +108,20 @@ void MlrPredictor::Slide(const Row& added, const Row* removed) {
       *c++ += ai * a2[j] - bi * b2[j];
     }
   }
+}
+
+bool MlrPredictor::Cancelled() const {
+  // A residue of u·cancelled_ (u the unit roundoff) against a co-moment at
+  // least cancelled_ / kMaxCancelled is at most ~2e-13 of it. Columns about
+  // to be pinned constant are exempt: pinning clears their residue.
+  constexpr double kMaxCancelled = 1e3;
+  const uint64_t n = window_.size();
+  for (size_t d = 0; d < kDims; ++d) {
+    if (same_run_[d] < n && cancelled_[d] > kMaxCancelled * comoments_.At(d, d)) {
+      return true;
+    }
+  }
+  return false;
 }
 
 void MlrPredictor::Rebuild() {
@@ -134,6 +149,7 @@ void MlrPredictor::Rebuild() {
       }
     }
   }
+  cancelled_.fill(0.0);
   since_rebuild_ = 0;
 }
 
@@ -147,6 +163,7 @@ void MlrPredictor::PinConstantColumns(bool after_rebuild) {
   for (size_t d = 0; d < kDims; ++d) {
     if (same_run_[d] == n || (after_rebuild && same_run_[d] > n)) {
       mean_[d] = newest[d];
+      cancelled_[d] = 0.0;
       for (size_t i = 0; i < kDims; ++i) {
         comoments_.At(i, d) = 0.0;
       }
@@ -274,17 +291,19 @@ void MlrPredictor::Observe(const features::FeatureVector& f, double cycles) {
   for (size_t i = 0; i < kDims; ++i) {
     same_run_[i] = !window_.empty() && window_.back()[i] == row[i] ? same_run_[i] + 1 : 1;
   }
-  const bool rebuild = window_.empty() || ++since_rebuild_ >= config_.history;
+  bool rebuild = window_.empty() || ++since_rebuild_ >= config_.history;
   window_.push_back(row);
   std::optional<Row> evicted;
   if (window_.size() > config_.history) {
     evicted = window_.front();
     window_.pop_front();
   }
+  if (!rebuild) {
+    Slide(row, evicted ? &*evicted : nullptr);
+    rebuild = evicted && Cancelled();
+  }
   if (rebuild) {
     Rebuild();
-  } else {
-    Slide(row, evicted ? &*evicted : nullptr);
   }
   PinConstantColumns(rebuild);
   Refit();
@@ -358,6 +377,9 @@ void MlrPredictor::SaveState(obs::SnapshotWriter& w) const {
   for (const uint64_t run : same_run_) {
     w.U64(run);
   }
+  for (const double x : cancelled_) {
+    w.F64(x);
+  }
   w.U64(since_rebuild_);
   w.I64(consecutive_outliers_);
   const std::map<int, size_t> counts = selection_counts();
@@ -387,6 +409,9 @@ void MlrPredictor::LoadState(obs::SnapshotReader& r) {
   }
   for (uint64_t& run : same_run_) {
     run = r.U64();
+  }
+  for (double& x : cancelled_) {
+    x = r.F64();
   }
   since_rebuild_ = static_cast<size_t>(r.U64());
   const int64_t outliers = r.I64();

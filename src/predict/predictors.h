@@ -118,11 +118,11 @@ class MlrPredictor : public CostPredictor {
   // selected are absent).
   std::map<int, size_t> selection_counts() const;
 
-  // Saves the observation window, its running moments and their recompute
-  // phase, plus scrub/selection bookkeeping. The fit itself (coefficients,
-  // selected features) is recomputed deterministically from the moments on
-  // load, then the selection counts are reinstated so the refit's own
-  // increments don't inflate them past the saved run's.
+  // Saves the observation window, its running moments, their recompute
+  // phase and cancellation tally, plus scrub/selection bookkeeping. The fit
+  // itself (coefficients, selected features) is recomputed deterministically
+  // from the moments on load, then the selection counts are reinstated so
+  // the refit's own increments don't inflate them past the saved run's.
   void SaveState(obs::SnapshotWriter& w) const override;
   void LoadState(obs::SnapshotReader& r) override;
 
@@ -133,8 +133,12 @@ class MlrPredictor : public CostPredictor {
   // Adds `added` to the moments and removes `removed` (if any), with the
   // window at its new size.
   void Slide(const Row& added, const Row* removed);
+  // Whether the updates since the last rebuild have cancelled more out of
+  // some column's co-moment than kMaxCancelled times what is left in it.
+  bool Cancelled() const;
   // Recomputes the moments exactly from the window; run every `history`
-  // observations so rounding in the updates cannot accumulate.
+  // observations so rounding in the updates cannot accumulate, and earlier
+  // when Cancelled().
   void Rebuild();
   void PinConstantColumns(bool after_rebuild);
   void Refit();
@@ -148,6 +152,13 @@ class MlrPredictor : public CostPredictor {
   // Per column, how many of the newest rows share the newest value; a run
   // that covers the window means a constant column.
   std::array<uint64_t, kDims> same_run_{};
+  // Per column, Σ|(z − m)(z − m')| over the rows evicted since the last
+  // rebuild: the size of the terms the updates have subtracted from its
+  // co-moment. Their rounding leaves a residue of about this times the unit
+  // roundoff, which is negligible until the rows still in the window vary
+  // far less than the evicted ones did (traffic falling by orders of
+  // magnitude, or a spike leaving a quiet window).
+  Row cancelled_{};
   size_t since_rebuild_ = 0;
 
   std::vector<int> last_selected_;

@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "src/features/features.h"
-#include "src/predict/fcbf.h"
+#include "src/predict/fcbf.h"  // FcbfResult
 #include "src/predict/linalg.h"
 #include "src/predict/predictors.h"
 #include "src/util/stats.h"
@@ -198,20 +198,18 @@ inline FcbfResult SelectFeatures(const Matrix& x, const std::vector<double>& y,
     result.relevance[c] = std::abs(util::PearsonCorrelation(cols[c], y));
   }
   std::vector<int> ranked;
-  std::vector<int> positive;
   for (size_t c = 0; c < p; ++c) {
-    if (result.relevance[c] > 0.0) {
-      positive.push_back(static_cast<int>(c));
-      if (result.relevance[c] >= threshold) {
-        ranked.push_back(static_cast<int>(c));
-      }
+    if (result.relevance[c] >= threshold && result.relevance[c] > 0.0) {
+      ranked.push_back(static_cast<int>(c));
     }
   }
-  predict::RankByRelevance(result.relevance, ranked);
+  std::sort(ranked.begin(), ranked.end(), [&](int a, int b) {
+    return result.relevance[static_cast<size_t>(a)] > result.relevance[static_cast<size_t>(b)];
+  });
   if (ranked.empty()) {
-    predict::RankByRelevance(result.relevance, positive);
-    if (!positive.empty()) {
-      result.selected.push_back(positive.front());
+    const auto best = std::max_element(result.relevance.begin(), result.relevance.end());
+    if (*best > 0.0) {
+      result.selected.push_back(static_cast<int>(best - result.relevance.begin()));
     }
     return result;
   }
@@ -224,8 +222,7 @@ inline FcbfResult SelectFeatures(const Matrix& x, const std::vector<double>& y,
     for (size_t j = i + 1; j < ranked.size(); ++j) {
       const auto fj = static_cast<size_t>(ranked[j]);
       if (!removed[j] &&
-          std::abs(util::PearsonCorrelation(cols[fi], cols[fj])) >=
-              result.relevance[fj] - predict::kFcbfTie) {
+          std::abs(util::PearsonCorrelation(cols[fi], cols[fj])) >= result.relevance[fj]) {
         removed[j] = true;
       }
     }

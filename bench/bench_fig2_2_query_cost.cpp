@@ -31,15 +31,11 @@ int main(int argc, char** argv) {
     trace::Batch batch;
     double total = 0.0;
     size_t bins = 0;
-    size_t in_interval = 0;
     while (batcher.Next(batch)) {
       query::BatchInput in{batch.packets, batch.start_us, batch.duration_us, 1.0};
       core::WorkHint hint{q.get(), &batch.packets, 0.0};
       total += oracle->Run(core::WorkKind::kQuery, hint, [&] { q->ProcessBatch(in); });
-      if (++in_interval >= q->interval_bins()) {
-        q->EndInterval();
-        in_interval = 0;
-      }
+      q->EndBin();
       ++bins;
     }
     oracle->OnQueryRemoved(q.get());

@@ -32,7 +32,6 @@ int main(int argc, char** argv) {
   trace::Batcher batcher(trace, 100'000);
   trace::Batch batch;
   size_t bin = 0;
-  size_t in_interval = 0;
   // Aggregate per second for readability.
   double cyc = 0.0, pkts = 0.0, bytes = 0.0, flows = 0.0;
   std::unordered_set<net::FiveTuple, net::FiveTupleHash> flow_set;
@@ -45,10 +44,7 @@ int main(int argc, char** argv) {
     for (const auto& pkt : batch.packets) {
       flow_set.insert(pkt.rec->tuple);
     }
-    if (++in_interval >= q->interval_bins()) {
-      q->EndInterval();
-      in_interval = 0;
-    }
+    q->EndBin();
     if (++bin % 10 == 0) {
       flows = static_cast<double>(flow_set.size());
       table.AddRow({util::Fmt(static_cast<double>(bin) / 10.0, 0), util::FmtSci(cyc, 2),

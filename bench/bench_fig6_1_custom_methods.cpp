@@ -41,7 +41,6 @@ int main(int argc, char** argv) {
       trace::Batch batch;
       double used = 0.0;
       double full_cost = 0.0;
-      size_t in_interval = 0;
       // Estimate the full cost with a shadow instance for the expected line.
       auto shadow = query::MakeQuery("p2p-detector");
       oracle->OnQueryAdded(shadow.get());
@@ -67,21 +66,17 @@ int main(int argc, char** argv) {
           used +=
               oracle->Run(core::WorkKind::kQuery, hint, [&] { q->ProcessBatch(in); });
         }
-        if (++in_interval >= q->interval_bins()) {
-          q->EndInterval();
-          shadow->EndInterval();
-          flow_sampler.Reseed(1000 + in_interval + args.seed_offset);
-          in_interval = 0;
+        shadow->EndBin();
+        if (q->EndBin()) {
+          flow_sampler.Reseed(1000 + q->interval_bins() + args.seed_offset);
         }
       }
-      if (in_interval > 0) {
-        q->EndInterval();
-        shadow->EndInterval();
-      }
+      q->FlushInterval();
+      shadow->FlushInterval();
       const double expected = fraction * full_cost;
       table.AddRow({method.label, util::Fmt(fraction, 2),
                     util::Fmt(used / expected, 2),
-                    util::FmtPercent(q->MeanError(*reference[0]), 1)});
+                    util::FmtPercent(query::SummarizeAccuracy(*q, *reference[0]).mean_error, 1)});
       oracle->OnQueryRemoved(shadow.get());
       oracle->OnQueryRemoved(q.get());
     }

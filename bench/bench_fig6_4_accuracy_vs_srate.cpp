@@ -34,20 +34,14 @@ int main(int argc, char** argv) {
       shed::PacketSampler sampler(7 + args.seed_offset);
       trace::Batcher batcher(trace, 100'000);
       trace::Batch batch;
-      size_t in_interval = 0;
       while (batcher.Next(batch)) {
         const trace::PacketVec sampled = sampler.Sample(batch.packets, rate);
         query::BatchInput in{sampled, batch.start_us, batch.duration_us, rate};
         q->ProcessBatch(in);
-        if (++in_interval >= q->interval_bins()) {
-          q->EndInterval();
-          in_interval = 0;
-        }
+        q->EndBin();
       }
-      if (in_interval > 0) {
-        q->EndInterval();
-      }
-      row.push_back(util::Fmt(1.0 - q->MeanError(*reference[qi]), 2));
+      q->FlushInterval();
+      row.push_back(util::Fmt(1.0 - query::SummarizeAccuracy(*q, *reference[qi]).mean_error, 2));
     }
     table.AddRow(row);
   }

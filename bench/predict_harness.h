@@ -68,7 +68,6 @@ inline PredictionRun RunPredictionExperiment(const trace::Trace& trace,
   trace::Batcher batcher(trace, 100'000);
   trace::Batch batch;
   size_t bin = 0;
-  size_t in_interval = 0;
   while (batcher.Next(batch)) {
     features::FeatureVector f{};
     core::WorkHint extract_hint{nullptr, &batch.packets, 0.0};
@@ -92,10 +91,8 @@ inline PredictionRun RunPredictionExperiment(const trace::Trace& trace,
     if (bin >= warmup_batches && actual > 0.0) {
       run.error.push_back(util::RelativeError(predicted, actual));
     }
-    if (++in_interval >= query->interval_bins()) {
-      query->EndInterval();
+    if (query->EndBin()) {
       extractor.StartInterval();
-      in_interval = 0;
     }
     ++bin;
   }

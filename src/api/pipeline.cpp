@@ -278,9 +278,6 @@ void PipelineBuilder::Validate() const {
   if (config_.bootstrap_rate < 0.0 || config_.bootstrap_rate > 1.0) {
     throw ConfigError("bootstrap_rate must be in [0, 1]");
   }
-  if (config_.reactive_min_rate < 0.0 || config_.reactive_min_rate > 1.0) {
-    throw ConfigError("reactive_min_rate must be in [0, 1]");
-  }
   if (config_.system_interval_bins == 0) {
     throw ConfigError("system_interval_bins must be positive");
   }
@@ -640,10 +637,7 @@ void Pipeline::RunReferences() {
       return;
     }
     slot.reference->ProcessBatch(in);
-    if (++slot.ref_bins_in_interval >= slot.reference->interval_bins()) {
-      slot.reference->EndInterval();
-      slot.ref_bins_in_interval = 0;
-    }
+    slot.reference->EndBin();
   };
   exec::ThreadPool* pool = system_->pool();
   if (pool != nullptr && slots_.size() > 1) {
@@ -688,9 +682,8 @@ void Pipeline::Finish() {
   }
   system_->Finish();
   for (Slot& slot : slots_) {
-    if (slot.reference != nullptr && slot.ref_bins_in_interval > 0) {
-      slot.reference->EndInterval();
-      slot.ref_bins_in_interval = 0;
+    if (slot.reference != nullptr) {
+      slot.reference->FlushInterval();
     }
   }
   finished_ = true;

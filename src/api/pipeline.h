@@ -176,9 +176,10 @@ class PipelineBuilder {
 
   // ---- Tracing & HTTP endpoint (src/obs) ----------------------------------
   // Per-stage span tracing (extraction, prediction, shedding decision,
-  // per-query execution, references, sinks, rt ladder transitions). One-way like the metrics: BinLogs are bit-identical with
-  // tracing on or off. Export with Pipeline::DumpTrace (Chrome trace-event
-  // JSON, loadable in Perfetto) or scrape GET /trace.
+  // per-query execution, references, sinks, rt ladder transitions). One-way
+  // like the metrics: BinLogs are bit-identical with tracing on or off.
+  // Export with Pipeline::DumpTrace (Chrome trace-event JSON, loadable in
+  // Perfetto) or scrape GET /trace.
   PipelineBuilder& Tracing(bool enable = true);
   // Embedded HTTP observability endpoint on 127.0.0.1:<port> serving
   // GET /metrics (Prometheus), /healthz, /stats and /trace. Port 0 picks an
@@ -316,7 +317,10 @@ class PipelineBuilder {
 // Determinism: pushing a time-sorted trace through Push produces BinLogs and
 // accuracies field-identical to the batch path (Batcher +
 // MonitoringSystem::ProcessBatch + query::RunReference) at any num_threads:
-// both assemble every bin with the same trace::Batch Reset/Add/Seal.
+// both assemble every bin with the same trace::Batch Reset/Add/Seal, and
+// every query instance, estimate or reference, closes its measurement
+// intervals by its own clock (Query::EndBin each bin, FlushInterval at
+// Finish), so an estimate and its reference always close the same intervals.
 //
 // Not thread-safe: Push/AddQuery/Detach/Finish must come from one thread
 // (the coordinator). Worker parallelism lives behind SystemConfig::
@@ -492,7 +496,6 @@ class Pipeline {
   struct Slot {
     uint64_t id = 0;
     std::unique_ptr<query::Query> reference;  // null when not tracked
-    size_t ref_bins_in_interval = 0;
   };
 
   // The one place a builder's options are applied, for Build() and restore

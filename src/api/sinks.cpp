@@ -127,7 +127,8 @@ void JsonlBinSink::OnBin(const core::BinLog& log, const BinStats& stats) {
       << ",\"como_cycles\":" << log.como_cycles << ",\"backlog_cycles\":" << log.backlog_cycles
       << ",\"utilization\":" << stats.utilization
       << ",\"degradation\":" << static_cast<int>(log.degradation) << ",\"degradation_rung\":\""
-      << rt::DegradeActionName(log.degradation) << "\",\"deadline_missed\":" << (log.deadline_missed ? "true" : "false")
+      << rt::DegradeActionName(log.degradation)
+      << "\",\"deadline_missed\":" << (log.deadline_missed ? "true" : "false")
       << ",\"deadline_overrun_us\":" << log.deadline_overrun_us << ",\"queries\":[";
   for (size_t q = 0; q < stats.query_names.size(); ++q) {
     if (q > 0) {

@@ -41,7 +41,6 @@ void WriteSystemConfig(obs::SnapshotWriter& w, const core::SystemConfig& c) {
   w.U64(c.predictor.history);
   w.F64(c.predictor.fcbf_threshold);
   w.F64(c.predictor.ewma_alpha);
-  w.I64(c.predictor.slr_feature);
   w.U32(c.extractor.mrb_components);
   w.U32(c.extractor.mrb_bits);
   w.U64(c.extractor.seed);
@@ -49,7 +48,6 @@ void WriteSystemConfig(obs::SnapshotWriter& w, const core::SystemConfig& c) {
   w.F64(c.ewma_alpha);
   w.Bool(c.error_margin_enabled);
   w.F64(c.como_overhead_fraction);
-  w.F64(c.reactive_min_rate);
   w.U64(c.system_interval_bins);
   w.Bool(c.rtthresh_enabled);
   w.U64(c.warmup_observations);
@@ -81,7 +79,6 @@ core::SystemConfig ReadSystemConfig(obs::SnapshotReader& r) {
   c.predictor.history = static_cast<size_t>(r.U64());
   c.predictor.fcbf_threshold = r.F64();
   c.predictor.ewma_alpha = r.F64();
-  c.predictor.slr_feature = static_cast<int>(r.I64());
   c.extractor.mrb_components = r.U32();
   c.extractor.mrb_bits = r.U32();
   c.extractor.seed = r.U64();
@@ -89,7 +86,6 @@ core::SystemConfig ReadSystemConfig(obs::SnapshotReader& r) {
   c.ewma_alpha = r.F64();
   c.error_margin_enabled = r.Bool();
   c.como_overhead_fraction = r.F64();
-  c.reactive_min_rate = r.F64();
   c.system_interval_bins = static_cast<size_t>(r.U64());
   c.rtthresh_enabled = r.Bool();
   c.warmup_observations = static_cast<size_t>(r.U64());

@@ -62,8 +62,8 @@ void CaptureLoop::Start() {
     c.m_truncated = &metrics_->GetCounter("shedmon_capture_truncated_total", {},
                                           "Frames longer than the capture snaplen");
     const std::string_view drop_help = "Capture frames lost before ingestion, by reason";
-    c.m_dropped_queue =
-        &metrics_->GetCounter("shedmon_capture_dropped_total", {{"reason", "queue_full"}}, drop_help);
+    c.m_dropped_queue = &metrics_->GetCounter("shedmon_capture_dropped_total",
+                                              {{"reason", "queue_full"}}, drop_help);
     c.m_dropped_no_slot =
         &metrics_->GetCounter("shedmon_capture_dropped_total", {{"reason", "no_slot"}}, drop_help);
     c.m_dropped_late =

@@ -58,7 +58,6 @@ double MeasureMeanDemand(const std::vector<std::string>& names, const trace::Tra
   trace::Batcher batcher(trace, bin_us);
   trace::Batch batch;
   util::RunningStats per_bin;
-  std::vector<size_t> bins(queries.size(), 0);
   while (batcher.Next(batch)) {
     double bin_cycles = 0.0;
     WorkHint extract_hint{nullptr, &batch.packets, 0.0};
@@ -72,10 +71,7 @@ double MeasureMeanDemand(const std::vector<std::string>& names, const trace::Tra
           oracle->Run(WorkKind::kQuery, hint, [&] { queries[q]->ProcessBatch(in); });
       WorkHint fit_hint{queries[q].get(), nullptr, 60.0};
       bin_cycles += oracle->Run(WorkKind::kFcbfMlr, fit_hint, [] {});
-      if (++bins[q] >= queries[q]->interval_bins()) {
-        queries[q]->EndInterval();
-        bins[q] = 0;
-      }
+      queries[q]->EndBin();
     }
     per_bin.Add(bin_cycles);
   }

@@ -14,6 +14,8 @@ constexpr double kEps = 1e-9;
 // Above this rate the batch is considered unsampled and the history can be
 // updated with full-cost observations on the custom-shedding path.
 constexpr double kNearFullRate = 0.95;
+// Floor of the reactive controller's sampling rate (eq. 4.1's alpha).
+constexpr double kReactiveMinRate = 0.05;
 }  // namespace
 
 MonitoringSystem::MonitoringSystem(const SystemConfig& config,
@@ -41,8 +43,9 @@ void MonitoringSystem::InitInstruments() {
   ins_.bins_total = &reg.GetCounter("shedmon_bins_total", {}, "Time bins processed");
   ins_.packets_total =
       &reg.GetCounter("shedmon_packets_total", {}, "Packets offered to the system");
-  ins_.packets_dropped_total = &reg.GetCounter(
-      "shedmon_packets_dropped_total", {}, "Packets lost to capture buffer overflow (uncontrolled)");
+  ins_.packets_dropped_total =
+      &reg.GetCounter("shedmon_packets_dropped_total", {},
+                      "Packets lost to capture buffer overflow (uncontrolled)");
   ins_.packets_shed_total = &reg.GetCounter(
       "shedmon_packets_shed_total", {}, "Packets shed deliberately via sampling (query-averaged)");
   ins_.batches_dropped_total =
@@ -52,8 +55,8 @@ void MonitoringSystem::InitInstruments() {
   ins_.capacity_cycles = &reg.GetGauge("shedmon_capacity_cycles", {}, "Cycle budget per time bin");
   ins_.backlog_cycles =
       &reg.GetGauge("shedmon_backlog_cycles", {}, "Capture buffer occupancy after the last bin");
-  ins_.rtthresh_cycles =
-      &reg.GetGauge("shedmon_rtthresh_cycles", {}, "Buffer-discovery slack threshold (section 4.1)");
+  ins_.rtthresh_cycles = &reg.GetGauge("shedmon_rtthresh_cycles", {},
+                                       "Buffer-discovery slack threshold (section 4.1)");
   ins_.avail_cycles =
       &reg.GetGauge("shedmon_avail_cycles", {}, "Cycles available to queries in the last bin");
   ins_.utilization =
@@ -140,7 +143,7 @@ query::Query& MonitoringSystem::AddQuery(std::unique_ptr<query::Query> query,
       std::move(query), config,
       predict::PredictionEngine(config_.predictor, config_.extractor),
       shed::PacketSampler(rng_.NextU64()), shed::FlowSampler(rng_.NextU64()),
-      shed::EnforcementPolicy(config_.enforcement), 0, 0.0});
+      shed::EnforcementPolicy(config_.enforcement)});
   queries_.push_back(std::move(runtime));
   // Baseline the oracle's per-query bookkeeping: a no-op for fresh
   // instances, and what keeps a re-registered veteran instance charged only
@@ -385,7 +388,6 @@ MonitoringSystem::QueryTaskResult MonitoringSystem::ExecuteQuery(QueryRuntime& q
   // recycled; the buffers keep their capacity for the next bin.
   qr.sample_buf.clear();
   qr.positions.clear();
-  qr.last_cycles = used;
   result.used = used;
   return result;
 }
@@ -432,7 +434,6 @@ MonitoringSystem::QueryTaskResult MonitoringSystem::ExecuteCustom(QueryRuntime& 
 
   result.unsampled = static_cast<double>(batch.size()) * (1.0 - rate) /
                      std::max<double>(1.0, static_cast<double>(queries_.size()));
-  qr.last_cycles = used;
   result.used = used;
   return result;
 }
@@ -516,18 +517,9 @@ void MonitoringSystem::RunPredictive(const trace::Batch& batch, BinLog& log) {
                     bin);
   }
 
-  // Phase 4 (lines 10-16): shed and execute. Pre-execution bookkeeping
-  // (penalty ticks, warm-up probes, rate finalization, charge-slot
-  // reservation) stays on the coordinating thread in registration order so
-  // the reserved cost sequence matches the serial schedule; per-query work
-  // then fans out over the pool and merges back in the same order.
-  struct QueryPlan {
-    bool execute = false;
-    bool custom = false;
-    uint64_t base_seq = 0;
-  };
+  // Phase 4 (lines 10-16): finish each query's plan on the coordinating
+  // thread (penalty ticks, warm-up probes), then shed and execute.
   std::vector<QueryPlan> plan(n);
-  std::vector<QueryTaskResult> results(n);
   for (size_t q = 0; q < n; ++q) {
     QueryRuntime& qr = *queries_[q];
     if (config_.enable_custom_shedding && qr.enforcement.InPenalty()) {
@@ -542,12 +534,8 @@ void MonitoringSystem::RunPredictive(const trace::Batch& batch, BinLog& log) {
           std::max(config_.bootstrap_rate, qr.config.min_sampling_rate);
       alloc.rate[q] = std::min(alloc.rate[q], probe);
     }
-    log.rate[q] = alloc.rate[q];
-    log.disabled[q] = alloc.disabled[q];
-    if (alloc.disabled[q] || alloc.rate[q] <= kEps) {
-      continue;
-    }
-    plan[q].execute = true;
+    plan[q].rate = alloc.rate[q];
+    plan[q].execute = !(alloc.disabled[q] || alloc.rate[q] <= kEps);
     // Custom shedding is only delegated once the query's cost model is warm:
     // the system needs a trustworthy full-cost prediction before it can
     // verify that the query honours its budget (§6.1.1). Until then the
@@ -556,55 +544,16 @@ void MonitoringSystem::RunPredictive(const trace::Batch& batch, BinLog& log) {
     plan[q].custom = config_.enable_custom_shedding && qr.config.allow_custom_shedding &&
                      qr.query->supports_custom_shedding() &&
                      qr.engine.predictor().history_size() >= config_.warmup_observations;
-    plan[q].base_seq = oracle_->ReserveSequence(
-        plan[q].custom ? PlanCustomOracleCalls(alloc.rate[q])
-                       : PlanOracleCalls(alloc.rate[q], /*update_history=*/true));
+    plan[q].granted = alloc.rate[q] * pred[q];
   }
-
-  // One task per query runs its whole pipeline; the BinLog fold below
-  // replays registration order on the coordinator.
-  double used_total = 0.0;
-  double expected_total = 0.0;
-  double measured_ls = 0.0;
-  executor_.Run(
-      n,
-      [&](size_t q) {
-        if (!plan[q].execute) {
-          return;
-        }
-        QueryRuntime& qr = *queries_[q];
-        if (plan[q].custom) {
-          results[q] = ExecuteCustom(qr, batch, alloc.rate[q], alloc.rate[q] * pred[q], shared,
-                                     plan[q].base_seq);
-          return;
-        }
-        results[q] = ExecuteQuery(qr, batch, alloc.rate[q], &shared, plan[q].base_seq);
-      });
-  for (size_t q = 0; q < n; ++q) {
-    if (!plan[q].execute) {
-      log.packets_unsampled += static_cast<double>(batch.size()) /
-                               std::max<double>(1.0, static_cast<double>(n));
-      queries_[q]->last_cycles = 0.0;
-      continue;
-    }
-    const QueryTaskResult& r = results[q];
-    const double ls_before = log.ls_cycles;
-    for (size_t c = 0; c < r.num_charges; ++c) {
-      (r.charges[c].ls ? log.ls_cycles : log.ps_cycles) += r.charges[c].cycles;
-    }
-    measured_ls += log.ls_cycles - ls_before;
-    log.packets_unsampled += r.unsampled;
-    log.per_query_cycles[q] = r.used;
-    used_total += r.used;
-    expected_total += alloc.rate[q] * pred[q];
-  }
-  log.query_cycles = used_total;
+  log.disabled = alloc.disabled;
+  const WaveTotals totals = RunQueryWave(batch, plan, &shared, log);
 
   // Phase 5 (line 17 + §4.3): smoothers for the next bin.
-  if (used_total > kEps && expected_total > kEps) {
-    error_ewma_.Update(std::max(0.0, 1.0 - expected_total / used_total));
+  if (totals.used > kEps && totals.expected > kEps) {
+    error_ewma_.Update(std::max(0.0, 1.0 - totals.expected / totals.used));
   }
-  ls_ewma_.Update(measured_ls);
+  ls_ewma_.Update(totals.measured_ls);
   ps_ewma_.Update(log.ps_cycles);
 }
 
@@ -614,8 +563,7 @@ void MonitoringSystem::RunReactive(const trace::Batch& batch, BinLog& log) {
   log.avail_cycles = avail;
   if (reactive_consumed_prev_ > kEps) {
     reactive_rate_ = std::min(
-        1.0, std::max(config_.reactive_min_rate,
-                      reactive_rate_ * avail / reactive_consumed_prev_));
+        1.0, std::max(kReactiveMinRate, reactive_rate_ * avail / reactive_consumed_prev_));
   } else {
     reactive_rate_ = 1.0;
   }
@@ -630,82 +578,80 @@ void MonitoringSystem::RunReactive(const trace::Batch& batch, BinLog& log) {
   std::vector<double> rates(n, reactive_rate_);
   std::vector<bool> disabled(n, false);
   ApplyDegradation(rates, disabled);
-
-  std::vector<uint64_t> base_seq(n);
+  log.disabled = disabled;
+  std::vector<QueryPlan> plan(n);
   for (size_t q = 0; q < n; ++q) {
-    log.rate[q] = rates[q];
-    log.disabled[q] = disabled[q];
-    if (disabled[q]) {
+    plan[q] = {rates[q], /*execute=*/!disabled[q]};
+  }
+  const WaveTotals totals = RunQueryWave(batch, plan, /*shared=*/nullptr, log);
+  reactive_consumed_prev_ = totals.used + log.ls_cycles;
+}
+
+void MonitoringSystem::RunNoShed(const trace::Batch& batch, BinLog& log) {
+  log.avail_cycles = std::max(0.0, capacity_ - log.como_cycles);
+  const std::vector<QueryPlan> plan(queries_.size(), {/*rate=*/1.0, /*execute=*/true});
+  log.overload = RunQueryWave(batch, plan, /*shared=*/nullptr, log).used > log.avail_cycles;
+}
+
+MonitoringSystem::WaveTotals MonitoringSystem::RunQueryWave(const trace::Batch& batch,
+                                                            const std::vector<QueryPlan>& plan,
+                                                            const SharedExtraction* shared,
+                                                            BinLog& log) {
+  const size_t n = queries_.size();
+  // Charge slots are reserved on the coordinating thread in registration
+  // order, so the sequenced charges match the serial schedule; one task per
+  // query then runs its whole pipeline, and the fold below replays
+  // registration order.
+  std::vector<uint64_t> base_seq(n, 0);
+  for (size_t q = 0; q < n; ++q) {
+    log.rate[q] = plan[q].rate;
+    if (!plan[q].execute) {
       continue;
     }
-    base_seq[q] =
-        oracle_->ReserveSequence(PlanOracleCalls(rates[q], /*update_history=*/false));
+    base_seq[q] = oracle_->ReserveSequence(
+        plan[q].custom ? PlanCustomOracleCalls(plan[q].rate)
+                       : PlanOracleCalls(plan[q].rate, /*update_history=*/shared != nullptr));
   }
+
   std::vector<QueryTaskResult> results(n);
-  double used_total = 0.0;
-  executor_.Run(
-      n,
-      [&](size_t q) {
-        if (disabled[q]) {
-          return;
-        }
-        results[q] =
-            ExecuteQuery(*queries_[q], batch, rates[q], /*shared=*/nullptr, base_seq[q]);
-      });
+  executor_.Run(n, [&](size_t q) {
+    if (!plan[q].execute) {
+      return;
+    }
+    QueryRuntime& qr = *queries_[q];
+    results[q] = plan[q].custom ? ExecuteCustom(qr, batch, plan[q].rate, plan[q].granted,
+                                                *shared, base_seq[q])
+                                : ExecuteQuery(qr, batch, plan[q].rate, shared, base_seq[q]);
+  });
+
+  WaveTotals totals;
   for (size_t q = 0; q < n; ++q) {
-    if (disabled[q]) {
-      // A truncated query sheds its whole batch, counted as RunPredictive
-      // counts a query it does not execute.
+    if (!plan[q].execute) {
+      // A query that does not run sheds its whole batch.
       log.packets_unsampled += static_cast<double>(batch.size()) /
                                std::max<double>(1.0, static_cast<double>(n));
       continue;
     }
     const QueryTaskResult& r = results[q];
+    const double ls_before = log.ls_cycles;
     for (size_t c = 0; c < r.num_charges; ++c) {
       (r.charges[c].ls ? log.ls_cycles : log.ps_cycles) += r.charges[c].cycles;
     }
+    totals.measured_ls += log.ls_cycles - ls_before;
     log.packets_unsampled += r.unsampled;
     log.per_query_cycles[q] = r.used;
-    used_total += r.used;
+    totals.used += r.used;
+    totals.expected += plan[q].granted;
   }
-  // Reactive systems skip the prediction subsystem: no history upkeep.
-  log.ps_cycles = 0.0;
-  log.query_cycles = used_total;
-  reactive_consumed_prev_ = used_total + log.ls_cycles;
-}
-
-void MonitoringSystem::RunNoShed(const trace::Batch& batch, BinLog& log) {
-  log.avail_cycles = std::max(0.0, capacity_ - log.como_cycles);
-  const size_t n = queries_.size();
-  std::vector<uint64_t> base_seq(n);
-  for (size_t q = 0; q < n; ++q) {
-    log.rate[q] = 1.0;
-    base_seq[q] = oracle_->ReserveSequence(1);
-  }
-  std::vector<QueryTaskResult> results(n);
-  double used_total = 0.0;
-  executor_.Run(
-      n,
-      [&](size_t q) {
-        results[q] =
-            ExecuteQuery(*queries_[q], batch, /*rate=*/1.0, /*shared=*/nullptr, base_seq[q]);
-      });
-  for (size_t q = 0; q < n; ++q) {
-    log.per_query_cycles[q] = results[q].used;
-    used_total += results[q].used;
-  }
-  log.query_cycles = used_total;
-  log.overload = used_total > log.avail_cycles;
+  log.query_cycles = totals.used;
+  return totals;
 }
 
 void MonitoringSystem::TickIntervals() {
-  for (auto& qr_ptr : queries_) {
-    QueryRuntime& qr = *qr_ptr;
-    if (++qr.bins_in_interval >= qr.query->interval_bins()) {
-      qr.query->EndInterval();
-      qr.engine.StartInterval();
-      qr.flow_sampler.Reseed(rng_.NextU64());
-      qr.bins_in_interval = 0;
+  for (auto& qr : queries_) {
+    if (qr->query->EndBin()) {
+      qr->engine.StartInterval();
+      qr->flow_sampler.Reseed(rng_.NextU64());
     }
   }
   if (++sys_bins_in_interval_ >= config_.system_interval_bins) {
@@ -741,7 +687,7 @@ bool MonitoringSystem::AtIntervalBoundary() const {
     return false;
   }
   for (const auto& qr : queries_) {
-    if (qr->bins_in_interval != 0) {
+    if (qr->query->bins_in_interval() != 0) {
       return false;
     }
   }
@@ -762,13 +708,10 @@ void MonitoringSystem::SaveState(obs::SnapshotWriter& w) const {
   w.Bool(ps_ewma_.seeded());
   w.F64(reactive_rate_);
   w.F64(reactive_consumed_prev_);
-  w.U64(sys_bins_in_interval_);
   w.U64(total_packets_);
   w.U64(total_dropped_);
   w.U64(queries_.size());
   for (const auto& qr : queries_) {
-    w.U64(qr->bins_in_interval);
-    w.F64(qr->last_cycles);
     w.RngState(qr->pkt_sampler.RngState());
     w.U64(qr->flow_sampler.seed());
     const shed::EnforcementPolicy::State es = qr->enforcement.GetState();
@@ -802,7 +745,6 @@ void MonitoringSystem::LoadState(obs::SnapshotReader& r) {
   }
   reactive_rate_ = r.F64();
   reactive_consumed_prev_ = r.F64();
-  sys_bins_in_interval_ = static_cast<size_t>(r.U64());
   total_packets_ = r.U64();
   total_dropped_ = r.U64();
   const uint64_t n = r.U64();
@@ -810,8 +752,6 @@ void MonitoringSystem::LoadState(obs::SnapshotReader& r) {
     throw obs::SnapshotError("snapshot query count does not match the registered roster");
   }
   for (auto& qr : queries_) {
-    qr->bins_in_interval = static_cast<size_t>(r.U64());
-    qr->last_cycles = r.F64();
     qr->pkt_sampler.SetRngState(r.RngState());
     qr->flow_sampler.Reseed(r.U64());
     shed::EnforcementPolicy::State es;
@@ -827,12 +767,8 @@ void MonitoringSystem::LoadState(obs::SnapshotReader& r) {
 }
 
 void MonitoringSystem::Finish() {
-  for (auto& qr_ptr : queries_) {
-    QueryRuntime& qr = *qr_ptr;
-    if (qr.bins_in_interval > 0) {
-      qr.query->EndInterval();
-      qr.bins_in_interval = 0;
-    }
+  for (auto& qr : queries_) {
+    qr->query->FlushInterval();
   }
 }
 

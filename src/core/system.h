@@ -63,8 +63,6 @@ struct SystemConfig {
   bool error_margin_enabled = true;
   // Fixed share of capacity consumed by core CoMo tasks (capture, storage).
   double como_overhead_fraction = 0.05;
-  // alpha floor of the reactive controller (eq. 4.1).
-  double reactive_min_rate = 0.05;
   // Measurement interval of the shared prediction-stage feature extractor.
   size_t system_interval_bins = 10;
   // §4.1 buffer-discovery (slow-start) threshold on top of avail_cycles.
@@ -220,8 +218,6 @@ class MonitoringSystem {
     shed::PacketSampler pkt_sampler;
     shed::FlowSampler flow_sampler;
     shed::EnforcementPolicy enforcement;
-    size_t bins_in_interval = 0;
-    double last_cycles = 0.0;  // previous bin's consumption (reactive)
     // Per-query instruments (labelled {query=<name>}), borrowed from
     // registry_; set right after registration, written once per bin by the
     // coordinator.
@@ -239,6 +235,9 @@ class MonitoringSystem {
     trace::PacketVec sample_buf{};
   };
 
+  // The three shedders differ only in how they plan each query's share of
+  // the bin; each builds one QueryPlan per query and hands the plans to
+  // RunQueryWave.
   void RunPredictive(const trace::Batch& batch, BinLog& log);
   void RunReactive(const trace::Batch& batch, BinLog& log);
   void RunNoShed(const trace::Batch& batch, BinLog& log);
@@ -277,6 +276,28 @@ class MonitoringSystem {
     features::FeatureVector features{};
     const features::TupleIndex* index = nullptr;
   };
+
+  // One query's share of a bin, as its shedder planned it.
+  struct QueryPlan {
+    double rate = 0.0;     // sampling rate (custom: the budget fraction)
+    bool execute = false;  // false: the query sheds its whole batch
+    bool custom = false;   // run the query's own shedding method (Ch. 6)
+    double granted = 0.0;  // cycles the shedder expects it to use
+  };
+  // The bin's totals over the executed queries.
+  struct WaveTotals {
+    double used = 0.0;         // measured query cycles
+    double expected = 0.0;     // sum of the plans' granted cycles
+    double measured_ls = 0.0;  // load-shedding cycles the queries charged
+  };
+
+  // The one query wave: reserves each executed query's charge slots in
+  // registration order, runs the queries over the pool, and folds their
+  // charges, unsampled packets and cycles into `log` in registration order.
+  // `shared` is the bin's shared extraction on the predictive path and null
+  // on the others, which keep no history.
+  WaveTotals RunQueryWave(const trace::Batch& batch, const std::vector<QueryPlan>& plan,
+                          const SharedExtraction* shared, BinLog& log);
 
   // Number of oracle calls the pre+post execution of one query will make for
   // the given parameters; the coordinator reserves exactly this many charge

@@ -24,7 +24,10 @@ inline constexpr std::string_view kSnapshotMagic = "SHEDSNAP";
 // rejected with a clear SnapshotError instead of silently restoring garbage.
 // v3 drops the per-query shard bound from the serialized system config.
 // v4 adds each MLR predictor's running window moments and recompute phase.
-inline constexpr uint32_t kSnapshotVersion = 4;
+// v5 drops the interval bin counters (always 0 on the interval boundary a
+// snapshot requires), each query's never-read last-bin cycles and two config
+// fields that were never set (reactive_min_rate, slr_feature).
+inline constexpr uint32_t kSnapshotVersion = 5;
 inline constexpr uint64_t kSnapshotFnvOffset = 0xcbf29ce484222325ULL;
 inline constexpr uint64_t kSnapshotFnvPrime = 0x100000001b3ULL;
 

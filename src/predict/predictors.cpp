@@ -438,7 +438,7 @@ std::unique_ptr<CostPredictor> MakePredictor(const PredictorConfig& config) {
     case PredictorKind::kEwma:
       return std::make_unique<EwmaPredictor>(config.ewma_alpha);
     case PredictorKind::kSlr:
-      return std::make_unique<SlrPredictor>(config.slr_feature, config.history);
+      return std::make_unique<SlrPredictor>(features::kFeatPackets, config.history);
     case PredictorKind::kMlr: {
       MlrPredictor::Config c;
       c.history = config.history;

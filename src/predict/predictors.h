@@ -177,7 +177,6 @@ struct PredictorConfig {
   size_t history = 60;
   double fcbf_threshold = 0.6;
   double ewma_alpha = 0.3;
-  int slr_feature = features::kFeatPackets;
 };
 
 std::unique_ptr<CostPredictor> MakePredictor(const PredictorConfig& config);

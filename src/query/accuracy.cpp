@@ -18,21 +18,15 @@ std::vector<std::unique_ptr<Query>> RunReference(const std::vector<std::string>&
 
   trace::Batcher batcher(trace, bin_us);
   trace::Batch batch;
-  std::vector<size_t> bins_in_interval(queries.size(), 0);
   while (batcher.Next(batch)) {
     BatchInput in{batch.packets, batch.start_us, batch.duration_us, 1.0};
-    for (size_t q = 0; q < queries.size(); ++q) {
-      queries[q]->ProcessBatch(in);
-      if (++bins_in_interval[q] >= queries[q]->interval_bins()) {
-        queries[q]->EndInterval();
-        bins_in_interval[q] = 0;
-      }
+    for (auto& q : queries) {
+      q->ProcessBatch(in);
+      q->EndBin();
     }
   }
-  for (size_t q = 0; q < queries.size(); ++q) {
-    if (bins_in_interval[q] > 0) {
-      queries[q]->EndInterval();
-    }
+  for (auto& q : queries) {
+    q->FlushInterval();
   }
   return queries;
 }
@@ -48,16 +42,6 @@ AccuracyRow SummarizeAccuracy(const Query& estimate, const Query& reference) {
   row.mean_error = stats.mean();
   row.stdev_error = stats.stdev();
   return row;
-}
-
-std::vector<double> ErrorSeries(const Query& estimate, const Query& reference) {
-  std::vector<double> series;
-  const size_t n = std::min(estimate.completed_intervals(), reference.completed_intervals());
-  series.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    series.push_back(estimate.IntervalError(reference, i));
-  }
-  return series;
 }
 
 }  // namespace shedmon::query

@@ -27,7 +27,4 @@ struct AccuracyRow {
 
 AccuracyRow SummarizeAccuracy(const Query& estimate, const Query& reference);
 
-// Per-interval error series (Fig. 5.5-style time series).
-std::vector<double> ErrorSeries(const Query& estimate, const Query& reference);
-
 }  // namespace shedmon::query

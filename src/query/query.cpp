@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "src/util/stats.h"
-
 namespace shedmon::query {
 
 Query::Query(std::string name, size_t interval_bins)
@@ -22,7 +20,22 @@ void Query::ProcessCustom(const BatchInput& in, double fraction) {
 
 void Query::OnCustomBatch(const BatchInput& in, double /*fraction*/) { OnBatch(in); }
 
+bool Query::EndBin() {
+  if (++bins_in_interval_ < interval_bins_) {
+    return false;
+  }
+  EndInterval();
+  return true;
+}
+
+void Query::FlushInterval() {
+  if (bins_in_interval_ > 0) {
+    EndInterval();
+  }
+}
+
 void Query::EndInterval() {
+  bins_in_interval_ = 0;
   interval_packets_.push_back(cur_packets_);
   cur_packets_ = 0.0;
   OnEndInterval(intervals_done_);
@@ -45,18 +58,6 @@ double Query::IntervalError(const Query& reference, size_t interval) const {
   }
   const double mine = IntervalPacketsProcessed(interval);
   return std::clamp(1.0 - mine / total, 0.0, 1.0);
-}
-
-double Query::MeanError(const Query& reference) const {
-  const size_t n = std::min(completed_intervals(), reference.completed_intervals());
-  if (n == 0) {
-    return 0.0;
-  }
-  util::RunningStats stats;
-  for (size_t i = 0; i < n; ++i) {
-    stats.Add(IntervalError(reference, i));
-  }
-  return stats.mean();
 }
 
 }  // namespace shedmon::query

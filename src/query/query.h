@@ -24,7 +24,7 @@ struct BatchInput {
 
 // A monitoring application ("plug-in module" in CoMo terms). The load
 // shedding system treats instances as black boxes: it only ever calls
-// ProcessBatch / EndInterval and observes the cycles they consume.
+// ProcessBatch / EndBin / FlushInterval and observes the cycles they consume.
 //
 // Accuracy evaluation follows §2.2.1: a second instance of the same query is
 // run over the unsampled stream and IntervalError compares per-interval
@@ -47,16 +47,22 @@ class Query {
   // Processes one (possibly sampled) batch.
   void ProcessBatch(const BatchInput& in);
 
-  // Closes the current measurement interval; results become available for
-  // interval index completed_intervals() - 1 afterwards.
+  // The measurement-interval clock (§2.4). EndBin counts one closed time
+  // bin and, at interval_bins() of them, closes the interval; it returns
+  // whether it did. FlushInterval closes a partially filled interval at end
+  // of input and is a no-op right after a boundary. EndInterval closes the
+  // interval immediately and restarts the count. Results become available
+  // for interval index completed_intervals() - 1 once it is closed.
+  bool EndBin();
+  void FlushInterval();
   void EndInterval();
   size_t completed_intervals() const { return intervals_done_; }
+  // Bins counted into the open interval; 0 on an interval boundary.
+  size_t bins_in_interval() const { return bins_in_interval_; }
 
   // Relative error of this instance's results for `interval` against a
   // reference instance that processed the full stream (§2.2.1).
   virtual double IntervalError(const Query& reference, size_t interval) const;
-  // Mean error across all intervals completed by both instances.
-  double MeanError(const Query& reference) const;
 
   // ---- Custom load shedding (Ch. 6) ----
   // True if the query ships its own shedding method; the system may then
@@ -92,6 +98,7 @@ class Query {
  private:
   std::string name_;
   size_t interval_bins_;
+  size_t bins_in_interval_ = 0;
   size_t intervals_done_ = 0;
   double cur_packets_ = 0.0;
   double work_units_ = 0.0;

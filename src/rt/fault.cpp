@@ -83,7 +83,9 @@ FaultPlan FaultPlan::Parse(std::string_view spec) {
 }
 
 FaultInjector::FaultInjector(FaultPlan plan, std::shared_ptr<Clock> clock)
-    : plan_(std::move(plan)), clock_(std::move(clock)), snapshot_credits_(plan_.corrupt_snapshots) {}
+    : plan_(std::move(plan)),
+      clock_(std::move(clock)),
+      snapshot_credits_(plan_.corrupt_snapshots) {}
 
 void FaultInjector::OnBinStart(uint64_t bin_index) {
   if (auto it = plan_.clock_jumps.find(bin_index); it != plan_.clock_jumps.end()) {

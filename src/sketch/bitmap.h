@@ -34,7 +34,6 @@ class DirectBitmap {
   double Estimate() const;
   uint32_t bits_set() const { return bits_set_; }
   uint32_t size_bits() const { return size_bits_; }
-  bool Saturated() const { return bits_set_ == size_bits_; }
 
   void Clear();
   // OR-merge; both bitmaps must have the same size.

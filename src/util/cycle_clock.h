@@ -34,8 +34,6 @@ class CycleTimer {
     return now >= start_ ? now - start_ : 0;
   }
 
-  void Restart() { start_ = ReadCycles(); }
-
  private:
   uint64_t start_;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 
 namespace shedmon::util {
 
@@ -72,6 +73,16 @@ double RelativeError(double estimate, double actual) {
 double PearsonCorrelation(const std::vector<double>& x, const std::vector<double>& y) {
   const size_t n = std::min(x.size(), y.size());
   if (n < 2) {
+    return 0.0;
+  }
+  // An exactly constant series has no correlation; its centred values need
+  // not be exactly 0 (the mean of n equal values may not round back to the
+  // value), and CorrelationFromSums would read that rounding as a signal.
+  const auto constant = [n](const std::vector<double>& v) {
+    return std::all_of(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(n),
+                       [&v](double e) { return e == v.front(); });
+  };
+  if (constant(x) || constant(y)) {
     return 0.0;
   }
   double mx = 0.0;

@@ -46,7 +46,7 @@ std::vector<CdfPoint> EmpiricalCdf(std::vector<double> values, size_t points);
 double RelativeError(double estimate, double actual);
 
 // Pearson linear correlation coefficient (eq. 3.3). Returns 0 when either
-// series is (numerically) constant.
+// series is exactly or numerically constant.
 double PearsonCorrelation(const std::vector<double>& x, const std::vector<double>& y);
 
 // The coefficient from the centred sums sum(dx*dy), sum(dx*dx) and

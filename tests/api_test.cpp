@@ -243,6 +243,51 @@ TEST(PipelineGoldenWrapper, RunTraceMatchesGoldenPath) {
   }
 }
 
+// Every estimate and its reference close intervals by the same clock, so a
+// run whose bin count is a multiple of none of the intervals ends with both
+// on the same completed_intervals(), the flushed partial interval included,
+// under each shedder.
+TEST(PipelineIntervals, EstimatesAndReferencesEndOnTheSameInterval) {
+  trace::TraceSpec spec = trace::CescaII();
+  spec.duration_s = 2.35;
+  const trace::Trace trace = trace::TraceGenerator(spec).Generate();
+  const double demand =
+      core::MeasureMeanDemand({"counter", "flows", "top-k"}, trace, core::OracleKind::kModel);
+  for (const core::ShedderKind shedder :
+       {core::ShedderKind::kPredictive, core::ShedderKind::kReactive,
+        core::ShedderKind::kNoShed}) {
+    for (const size_t threads : {size_t{0}, size_t{2}}) {
+      SCOPED_TRACE("shedder " + std::to_string(static_cast<int>(shedder)) + " threads " +
+                   std::to_string(threads));
+      auto pipeline = api::PipelineBuilder()
+                          .Shedder(shedder)
+                          .Threads(threads)
+                          .CyclesPerBin(0.5 * demand)
+                          .BuildUnique();
+      std::vector<api::QueryHandle> handles;
+      handles.push_back(pipeline->AddQuery(std::make_unique<query::CounterQuery>(7), {},
+                                           std::make_unique<query::CounterQuery>(7)));
+      handles.push_back(pipeline->AddQuery(std::make_unique<query::FlowsQuery>(11), {},
+                                           std::make_unique<query::FlowsQuery>(11)));
+      handles.push_back(pipeline->AddQuery("top-k"));
+      pipeline->Push(trace);
+      pipeline->Finish();
+      const size_t bins = pipeline->bins_processed();
+      for (const api::QueryHandle& handle : handles) {
+        SCOPED_TRACE(handle.name());
+        const size_t interval = handle.query().interval_bins();
+        ASSERT_NE(bins % interval, 0u);
+        ASSERT_TRUE(handle.has_reference());
+        EXPECT_EQ(handle.query().completed_intervals(), (bins + interval - 1) / interval);
+        EXPECT_EQ(handle.reference()->completed_intervals(),
+                  handle.query().completed_intervals());
+        EXPECT_EQ(handle.query().bins_in_interval(), 0u);
+        EXPECT_EQ(handle.reference()->bins_in_interval(), 0u);
+      }
+    }
+  }
+}
+
 // Mid-run query arrival (Fig. 6.9 shape): golden = manual batch loop adding
 // a query between two ProcessBatch calls; pipeline = AdvanceTime + AddQuery
 // at the same bin boundary while pushing raw packets.
@@ -773,9 +818,6 @@ TEST(PipelineValidation, RejectsOutOfRangeSystemKnobs) {
   EXPECT_THROW(B().Config(config).Build(), ConfigError);
   config = {};
   config.bootstrap_rate = -0.1;
-  EXPECT_THROW(B().Config(config).Build(), ConfigError);
-  config = {};
-  config.reactive_min_rate = 2.0;
   EXPECT_THROW(B().Config(config).Build(), ConfigError);
   config = {};
   config.system_interval_bins = 0;

@@ -525,17 +525,15 @@ struct ParityReport {
   double max_rel = 0.0;             // largest prediction gap relative to the prediction
   std::vector<size_t> differ_at;    // steps whose selected sets differ
   std::vector<std::pair<std::vector<int>, std::vector<int>>> differences;
-  // Differing steps where some column kept by one side only is neither
-  // constant over the window nor a near-exact copy (|r| >= 1 - 1e-9 over the
-  // window) of a column the other side keeps.
+  // Differing steps where some column kept by one side only is not a
+  // near-exact copy (|r| >= 1 - 1e-9 over the window) of a column the other
+  // side keeps.
   std::vector<size_t> unexplained;
 };
 
 // Whether `column`, kept by one side only, is a tie the two sides may break
-// differently: constant over the window (the reference's pairwise Pearson
-// then reads rounding noise in the centred values as a correlation, the
-// pinned moments read exactly 0), or a near-exact copy of a column in
-// `other`, the other side's selection.
+// differently: a near-exact copy of a column in `other`, the other side's
+// selection.
 bool IsTie(int column, const std::vector<int>& other, const std::deque<Observation>& window) {
   const auto values = [&window](int c) {
     std::vector<double> v;
@@ -545,9 +543,6 @@ bool IsTie(int column, const std::vector<int>& other, const std::deque<Observati
     return v;
   };
   const std::vector<double> v = values(column);
-  if (std::all_of(v.begin(), v.end(), [&v](double x) { return x == v.front(); })) {
-    return true;
-  }
   return std::any_of(other.begin(), other.end(), [&](int c) {
     return std::abs(util::PearsonCorrelation(v, values(c))) >= 1.0 - 1e-9;
   });

@@ -123,6 +123,73 @@ BatchInput Input(const trace::PacketVec& packets, double rate = 1.0) {
   return BatchInput{packets, 0, 100'000, rate};
 }
 
+// --------------------------------------------------------- interval clock --
+
+TEST(QueryInterval, EndBinClosesEveryIntervalBinsBins) {
+  Fixture fx;
+  fx.Add(1, 2, 10, 80, net::kProtoTcp, 100);
+  const auto packets = fx.Packets();
+  CounterQuery q(3);
+  for (size_t bin = 1; bin <= 10; ++bin) {
+    q.ProcessBatch(Input(packets));
+    EXPECT_EQ(q.EndBin(), bin % 3 == 0) << "bin " << bin;
+    EXPECT_EQ(q.completed_intervals(), bin / 3) << "bin " << bin;
+    EXPECT_EQ(q.bins_in_interval(), bin % 3) << "bin " << bin;
+  }
+  ASSERT_EQ(q.snapshots().size(), 3u);
+  for (const auto& snap : q.snapshots()) {
+    EXPECT_DOUBLE_EQ(snap.pkts, 3.0);
+  }
+  // An interval of 0 bins is taken as 1: every bin closes one.
+  CounterQuery every(0);
+  EXPECT_EQ(every.interval_bins(), 1u);
+  EXPECT_TRUE(every.EndBin());
+  EXPECT_TRUE(every.EndBin());
+  EXPECT_EQ(every.completed_intervals(), 2u);
+}
+
+TEST(QueryInterval, FlushIntervalClosesOnlyAPartialInterval) {
+  Fixture fx;
+  fx.Add(1, 2, 10, 80, net::kProtoTcp, 100);
+  const auto packets = fx.Packets();
+  CounterQuery q(4);
+  q.FlushInterval();  // nothing counted yet
+  EXPECT_EQ(q.completed_intervals(), 0u);
+  for (int bin = 0; bin < 4; ++bin) {
+    q.ProcessBatch(Input(packets));
+    q.EndBin();
+  }
+  ASSERT_EQ(q.completed_intervals(), 1u);
+  q.FlushInterval();  // right after a boundary
+  EXPECT_EQ(q.completed_intervals(), 1u);
+  for (int bin = 0; bin < 2; ++bin) {
+    q.ProcessBatch(Input(packets));
+    q.EndBin();
+  }
+  q.FlushInterval();
+  ASSERT_EQ(q.completed_intervals(), 2u);
+  EXPECT_EQ(q.bins_in_interval(), 0u);
+  EXPECT_DOUBLE_EQ(q.snapshots()[1].pkts, 2.0);
+  q.FlushInterval();
+  EXPECT_EQ(q.completed_intervals(), 2u);
+}
+
+TEST(QueryInterval, EndIntervalResetsTheCount) {
+  CounterQuery q(3);
+  EXPECT_FALSE(q.EndBin());
+  EXPECT_FALSE(q.EndBin());
+  q.EndInterval();
+  EXPECT_EQ(q.completed_intervals(), 1u);
+  EXPECT_EQ(q.bins_in_interval(), 0u);
+  q.FlushInterval();  // the count restarted: nothing is open
+  EXPECT_EQ(q.completed_intervals(), 1u);
+  // A full interval_bins() more bins are needed to close the next one.
+  EXPECT_FALSE(q.EndBin());
+  EXPECT_FALSE(q.EndBin());
+  EXPECT_TRUE(q.EndBin());
+  EXPECT_EQ(q.completed_intervals(), 2u);
+}
+
 // ---------------------------------------------------------------- counter --
 
 TEST(CounterQueryTest, ExactWithoutSampling) {
@@ -609,7 +676,7 @@ TEST(RunReferenceTest, ReferenceIsSelfConsistent) {
   const auto t = trace::TraceGenerator(spec).Generate();
   const auto a = RunReference({"counter"}, t);
   const auto b = RunReference({"counter"}, t);
-  EXPECT_NEAR(a[0]->MeanError(*b[0]), 0.0, 1e-12);
+  EXPECT_NEAR(SummarizeAccuracy(*a[0], *b[0]).mean_error, 0.0, 1e-12);
 }
 
 // ------------------------------------------------- exact batch-path pins --
@@ -927,7 +994,7 @@ TEST_P(SamplingSweep, CounterErrorBoundedByRate) {
       ref.EndInterval();
     }
   }
-  const double err = est.MeanError(ref);
+  const double err = SummarizeAccuracy(est, ref).mean_error;
   if (rate >= 0.999) {
     EXPECT_NEAR(err, 0.0, 1e-9);
   } else {

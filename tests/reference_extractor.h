@@ -70,7 +70,8 @@ class ReferenceExtractor {
   template <size_t... I>
   static std::array<sketch::H3Hash, sizeof...(I)> MakeHashes(uint64_t seed,
                                                              std::index_sequence<I...>) {
-    return {sketch::H3Hash(features::AggregateHashSeed(seed, static_cast<features::Aggregate>(I)))...};
+    return {sketch::H3Hash(
+        features::AggregateHashSeed(seed, static_cast<features::Aggregate>(I)))...};
   }
 
   std::array<sketch::H3Hash, features::kNumAggregates> hashes_;

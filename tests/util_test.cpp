@@ -135,6 +135,16 @@ TEST(PearsonCorrelation, ConstantSeriesGivesZero) {
   const std::vector<double> x = {3, 3, 3, 3};
   const std::vector<double> y = {1, 2, 3, 4};
   EXPECT_DOUBLE_EQ(PearsonCorrelation(x, y), 0.0);
+  // Ten copies of a value whose mean does not round back to it: the centred
+  // values are 1 ulp off zero, which must not read as a correlation with a
+  // ramp whose own centred values do not sum to exactly 0.
+  const std::vector<double> flat(10, 2.0039164524218003);
+  std::vector<double> ramp(10);
+  for (size_t i = 0; i < ramp.size(); ++i) {
+    ramp[i] = 0.1 * static_cast<double>(i);
+  }
+  EXPECT_EQ(PearsonCorrelation(flat, ramp), 0.0);
+  EXPECT_EQ(PearsonCorrelation(ramp, flat), 0.0);
 }
 
 TEST(Rng, DeterministicForSeed) {
